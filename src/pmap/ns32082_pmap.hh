@@ -55,7 +55,7 @@ class Ns32082PmapSystem : public LinearPmapSystem
         : LinearPmapSystem(machine)
     {
         // 512-byte pages, 4-byte PTEs.
-        ptesPerPage = 128;
+        setPtesPerTablePage(128);
     }
 
   protected:

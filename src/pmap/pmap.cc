@@ -1,6 +1,7 @@
 #include "pmap/pmap.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "sim/trace.hh"
 
@@ -300,95 +301,46 @@ namespace
 /** Ranges at most this many hardware pages flush entry-by-entry. */
 constexpr VmSize kByPageFlushPages = 8;
 
-/** One TLB tag plus the merged ranges to flush under it. */
-struct TagFlush
-{
-    const void *tag;
-    std::vector<PmapFlushRange> ranges;
-};
+} // namespace
 
 /**
- * Sort and merge adjacent/overlapping ranges in place; returns the
- * number of ranges eliminated by merging.
+ * A view over a (tag, start, end) list grouped by tag.  Small ranges
+ * flush entry-by-entry; a large range flushes the whole tag, after
+ * which that tag's remaining ranges are moot.  Each tag belongs to
+ * one pmap, so a tag group is a pmap group.
  */
-std::size_t
-mergeRanges(std::vector<PmapFlushRange> &ranges)
+struct PmapSystem::FlushCmd
 {
-    std::sort(ranges.begin(), ranges.end(),
-              [](const PmapFlushRange &a, const PmapFlushRange &b) {
-                  return a.start < b.start;
-              });
-    std::size_t out = 0;
-    for (std::size_t i = 1; i < ranges.size(); ++i) {
-        if (ranges[i].start <= ranges[out].end) {
-            ranges[out].end = std::max(ranges[out].end, ranges[i].end);
-        } else {
-            ranges[++out] = ranges[i];
-        }
-    }
-    std::size_t eliminated = ranges.empty() ? 0 : ranges.size() - (out + 1);
-    if (!ranges.empty())
-        ranges.resize(out + 1);
-    return eliminated;
-}
-
-/**
- * Per-CPU flush command for one contiguous range of one tag.  A
- * concrete functor (not a lambda behind std::function) so
- * dispatchFlush instantiates it directly and the Deferred path can
- * move it into the machine's inline queue without allocating.
- */
-struct RangeFlushCmd
-{
-    const void *tag;
-    VmOffset start;
-    VmOffset end;
-    VmSize hw;
-    unsigned shift;
-    bool byPage;
-
-    void
-    operator()(Cpu &c) const
-    {
-        if (byPage) {
-            for (VmOffset va = truncTo(start, hw); va < end; va += hw)
-                c.tlb.flushPage(tag, va >> shift);
-        } else {
-            c.tlb.flushTag(tag);
-        }
-    }
-};
-
-/**
- * Per-CPU flush command for a coalesced command list.  Small ranges
- * flush entry-by-entry; any large range flushes the whole tag, after
- * which that tag's remaining ranges are moot.
- */
-struct BatchFlushCmd
-{
-    std::vector<TagFlush> cmds;
+    std::span<const TagRange> ranges;
     VmSize hw;
     unsigned shift;
 
     void
     operator()(Cpu &c) const
     {
-        for (const auto &cmd : cmds) {
-            for (const auto &r : cmd.ranges) {
-                if ((r.end - r.start) >> shift <= kByPageFlushPages) {
-                    for (VmOffset va = truncTo(r.start, hw); va < r.end;
-                         va += hw)
-                        c.tlb.flushPage(cmd.tag, va >> shift);
-                } else {
-                    c.tlb.flushTag(cmd.tag);
-                    break;
-                }
+        const void *flushedTag = nullptr;
+        for (const TagRange &r : ranges) {
+            if (r.tag == flushedTag)
+                continue;
+            if ((r.end - r.start) >> shift <= kByPageFlushPages) {
+                for (VmOffset va = truncTo(r.start, hw); va < r.end;
+                     va += hw)
+                    c.tlb.flushPage(r.tag, va >> shift);
+            } else {
+                c.tlb.flushTag(r.tag);
+                flushedTag = r.tag;
             }
         }
     }
 };
 
-} // namespace
+bool
+PmapSystem::pendingBefore(const PendingRange &a, const PendingRange &b)
+{
+    if (a.pmap != b.pmap)
+        return std::less<const Pmap *>()(a.pmap, b.pmap);
+    return a.start < b.start;
+}
 
 void
 PmapSystem::shootdownRange(Pmap &pmap, VmOffset start, VmOffset end,
@@ -398,15 +350,33 @@ PmapSystem::shootdownRange(Pmap &pmap, VmOffset start, VmOffset end,
     // dispatched now, absorbed into a batch, deferred or skipped.
     traceEmit(machine.clock(), TraceEventType::Shootdown,
               static_cast<std::uint8_t>(mode), start, end);
-    if (batching() && coalesceShootdowns) {
-        // Record the range; the batch close issues one merged round
-        // honoring the strictest mode seen.
-        ++shootdownsCoalesced;
-        batchMode = stricterMode(mode, batchMode);
-        batchPending[&pmap].push_back({start, end});
+    if (!batching() || !coalesceShootdowns) {
+        shootdownNow(pmap, start, end, mode);
         return;
     }
-    shootdownNow(pmap, start, end, mode);
+    // Record the range; the batch close issues one merged round
+    // honoring the strictest mode seen.
+    ++shootdownsCoalesced;
+    batchMode = stricterMode(mode, batchMode);
+    if (!batchPending.empty()) {
+        PendingRange &last = batchPending.back();
+        if (last.pmap == &pmap && start <= last.end && last.start <= end) {
+            // Touching or overlapping the previous request of the
+            // same pmap: fold it in (the close would merge them).
+            ++last.requests;
+            last.end = std::max(last.end, end);
+            if (start < last.start) {
+                last.start = start;
+                if (batchPending.size() > 1 &&
+                    pendingBefore(last, batchPending.end()[-2]))
+                    pendingSorted = false;
+            }
+            return;
+        }
+        if (pendingBefore(PendingRange{&pmap, start, end, 1}, last))
+            pendingSorted = false;
+    }
+    batchPending.push_back({&pmap, start, end, 1});
 }
 
 void
@@ -419,16 +389,8 @@ PmapSystem::shootdownNow(Pmap &pmap, VmOffset start, VmOffset end,
         ++lazySkips;
         return;
     }
-
-    // Flushing page-by-page only pays for small ranges.
-    VmSize hw = hwPageSize();
-    bool byPage =
-        (end - start) >> machine.spec.hwPageShift <= kByPageFlushPages;
-
-    dispatchFlush(flushTargets(pmap),
-                  RangeFlushCmd{pmap.tlbTag(), start, end, hw,
-                                machine.spec.hwPageShift, byPage},
-                  mode, false);
+    TagRange range{pmap.tlbTag(), start, end};
+    dispatchFlush(flushTargets(pmap), {&range, 1}, mode, false);
 }
 
 std::bitset<kMaxCpus>
@@ -446,11 +408,10 @@ PmapSystem::flushTargets(const Pmap &pmap) const
     return targets;
 }
 
-template <typename FlushFn>
 void
 PmapSystem::dispatchFlush(const std::bitset<kMaxCpus> &targets,
-                          FlushFn flushCpu, ShootdownMode mode,
-                          bool batched)
+                          std::span<const TagRange> ranges,
+                          ShootdownMode mode, bool batched)
 {
     MACH_ASSERT(mode != ShootdownMode::Lazy);
 
@@ -458,20 +419,17 @@ PmapSystem::dispatchFlush(const std::bitset<kMaxCpus> &targets,
         // Section 5.2 case 2: queue the flush; the caller must not
         // reuse the page until the next timer tick has been taken.
         ++deferredFlushes;
-        Machine &m = machine;
-        m.deferUntilTick(
-            [&m, targets, flushCpu = std::move(flushCpu)]() {
-                for (unsigned i = 0; i < m.numCpus(); ++i) {
-                    if (targets.test(i))
-                        flushCpu(m.cpu(i));
-                }
-            });
+        if (tickFlushes.empty())
+            machine.deferUntilTick([this] { runTickFlushes(); });
+        tickFlushes.push_back({targets, tickRanges.size(), ranges.size()});
+        tickRanges.insert(tickRanges.end(), ranges.begin(), ranges.end());
         return;
     }
 
     // Immediate (case 1): local flush plus an IPI per remote CPU.
     // Every IPI of the round carries the same round id so the trace
     // analyzer can recover the fan-out of each dispatch.
+    FlushCmd flushCpu{ranges, hwPageSize(), machine.spec.hwPageShift};
     SimTime t0 = machine.clock().now();
     const std::uint64_t round = ++shootdownRoundSeq;
     unsigned remote = 0;
@@ -493,6 +451,23 @@ PmapSystem::dispatchFlush(const std::bitset<kMaxCpus> &targets,
     SimTime waited = machine.clock().now() - t0;
     traceLatency(machine.clock(), TraceLatencyKind::Shootdown, waited);
     noteShootdownRound(remote, waited);
+}
+
+void
+PmapSystem::runTickFlushes()
+{
+    // Flushes only touch TLBs, so none can queue another while these
+    // run; the buffers are cleared (capacity kept) for the next tick.
+    for (const TickFlush &t : tickFlushes) {
+        FlushCmd flushCpu{{tickRanges.data() + t.first, t.count},
+                          hwPageSize(), machine.spec.hwPageShift};
+        for (unsigned i = 0; i < machine.numCpus(); ++i) {
+            if (t.targets.test(i))
+                flushCpu(machine.cpu(i));
+        }
+    }
+    tickFlushes.clear();
+    tickRanges.clear();
 }
 
 void
@@ -538,6 +513,7 @@ PmapSystem::openBatch()
     if (batchDepth++ == 0) {
         batchMode = ShootdownMode::Lazy;
         batchPending.clear();
+        pendingSorted = true;
     }
 }
 
@@ -550,64 +526,78 @@ PmapSystem::closeBatch()
 }
 
 void
+PmapSystem::sortPending()
+{
+    if (pendingSorted)
+        return;
+    std::sort(batchPending.begin(), batchPending.end(), pendingBefore);
+    pendingSorted = true;
+}
+
+void
 PmapSystem::flushBatch()
 {
-    auto pending = std::move(batchPending);
-    batchPending.clear();
     ShootdownMode mode = batchMode;
     batchMode = ShootdownMode::Lazy;
-
-    if (pending.empty())
+    if (batchPending.empty())
         return;
+    sortPending();
+    closeRanges(batchPending, mode);
+    batchPending.clear();
+}
+
+void
+PmapSystem::drainBatched(Pmap &pmap)
+{
+    if (batchPending.empty())
+        return;
+    sortPending();
+    auto [lo, hi] = std::equal_range(
+        batchPending.begin(), batchPending.end(),
+        PendingRange{&pmap, 0, 0, 0},
+        [](const PendingRange &a, const PendingRange &b) {
+            return std::less<const Pmap *>()(a.pmap, b.pmap);
+        });
+    if (lo == hi)
+        return;
+    closeRanges({lo, hi}, batchMode);
+    batchPending.erase(lo, hi);
+}
+
+void
+PmapSystem::closeRanges(std::span<const PendingRange> records,
+                        ShootdownMode mode)
+{
     if (mode == ShootdownMode::Lazy) {
         // Every shootdown in the batch permitted inconsistency.
         ++lazySkips;
         return;
     }
 
+    // Records are sorted by (pmap, start): one sweep merges each
+    // pmap's adjacent and overlapping ranges and unions the targets.
+    flushList.clear();
     std::bitset<kMaxCpus> targets;
-    std::vector<TagFlush> cmds;
-    cmds.reserve(pending.size());
-    std::size_t rangesOut = 0;
-    for (auto &[pmap, ranges] : pending) {
-        batchRangesMerged += mergeRanges(ranges);
-        rangesOut += ranges.size();
-        targets |= flushTargets(*pmap);
-        cmds.push_back({pmap->tlbTag(), std::move(ranges)});
+    std::uint64_t requests = 0;
+    const Pmap *prev = nullptr;
+    for (const PendingRange &r : records) {
+        requests += r.requests;
+        if (r.pmap == prev && r.start <= flushList.back().end) {
+            flushList.back().end = std::max(flushList.back().end, r.end);
+            continue;
+        }
+        if (r.pmap != prev) {
+            targets |= flushTargets(*r.pmap);
+            prev = r.pmap;
+        }
+        flushList.push_back({r.pmap->tlbTag(), r.start, r.end});
     }
 
+    batchRangesMerged += requests - flushList.size();
     ++batchFlushes;
-    chargePmap(SimTime(rangesOut) * machine.spec.costs.shootdownPerRange);
-    dispatchFlush(targets,
-                  BatchFlushCmd{std::move(cmds), hwPageSize(),
-                                machine.spec.hwPageShift},
-                  mode, true);
-}
-
-void
-PmapSystem::drainBatched(Pmap &pmap)
-{
-    auto it = batchPending.find(&pmap);
-    if (it == batchPending.end())
-        return;
-    auto ranges = std::move(it->second);
-    batchPending.erase(it);
-
-    if (batchMode == ShootdownMode::Lazy) {
-        ++lazySkips;
-        return;
-    }
-
-    batchRangesMerged += mergeRanges(ranges);
-    chargePmap(SimTime(ranges.size()) *
+    chargePmap(SimTime(flushList.size()) *
                machine.spec.costs.shootdownPerRange);
-    std::vector<TagFlush> cmds;
-    cmds.push_back({pmap.tlbTag(), std::move(ranges)});
-    ++batchFlushes;
-    dispatchFlush(flushTargets(pmap),
-                  BatchFlushCmd{std::move(cmds), hwPageSize(),
-                                machine.spec.hwPageShift},
-                  batchMode, true);
+    dispatchFlush(targets, flushList, mode, true);
 }
 
 } // namespace mach

@@ -29,7 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "base/logging.hh"
@@ -73,13 +73,6 @@ stricterMode(ShootdownMode a, ShootdownMode b)
 {
     return static_cast<unsigned>(a) < static_cast<unsigned>(b) ? a : b;
 }
-
-/** One contiguous virtual range awaiting a coalesced TLB flush. */
-struct PmapFlushRange
-{
-    VmOffset start = 0;
-    VmOffset end = 0;
-};
 
 /**
  * A machine-dependent physical address map.
@@ -470,6 +463,41 @@ class PmapSystem
     /** Record one immediate-mode round into the attached registry. */
     void noteShootdownRound(unsigned remote_targets, SimTime wait_ns);
 
+    /**
+     * One pending shootdown request of an open batch, or several
+     * touching requests of the same pmap folded into one record.
+     */
+    struct PendingRange
+    {
+        Pmap *pmap;
+        VmOffset start;
+        VmOffset end;
+        std::uint32_t requests; //!< shootdownRange calls folded in
+    };
+
+    /** One merged range to flush under a TLB tag. */
+    struct TagRange
+    {
+        const void *tag;
+        VmOffset start;
+        VmOffset end;
+    };
+
+    /** Order records by (pmap, start), the order a close sweeps. */
+    static bool pendingBefore(const PendingRange &a,
+                              const PendingRange &b);
+
+    /** Per-CPU flush command over a slice of TagRanges. */
+    struct FlushCmd;
+
+    /** A closed Deferred flush awaiting the next timer tick. */
+    struct TickFlush
+    {
+        std::bitset<kMaxCpus> targets;
+        std::size_t first; //!< index into tickRanges
+        std::size_t count;
+    };
+
     /** Issue everything the open batch accumulated in one round. */
     void flushBatch();
 
@@ -479,26 +507,53 @@ class PmapSystem
      */
     void drainBatched(Pmap &pmap);
 
+    /**
+     * The one batch close routine: merge the (pmap, start)-sorted
+     * @p records per pmap into flushList, charge and count them, and
+     * dispatch one round per @p mode.
+     */
+    void closeRanges(std::span<const PendingRange> records,
+                     ShootdownMode mode);
+
+    /** Sort batchPending by (pmap, start) unless already in order. */
+    void sortPending();
+
     /** CPUs whose TLBs may hold entries of @p pmap. */
     std::bitset<kMaxCpus> flushTargets(const Pmap &pmap) const;
 
     /**
-     * Run @p flushCpu on every CPU in @p targets per @p mode:
-     * immediately (local call or one IPI per remote CPU) or queued
-     * to the next timer tick.  @p mode must not be Lazy.  Templated
-     * on the concrete flush command so no std::function (and no
-     * allocation) sits on the shootdown path; the Deferred case
-     * moves the command into the machine's inline deferred queue.
+     * Flush @p ranges (grouped by tag) on every CPU in @p targets per
+     * @p mode: immediately (local call or one IPI per remote CPU) or
+     * copied to tickRanges for the next timer tick.  @p mode must not
+     * be Lazy.
      */
-    template <typename FlushFn>
     void dispatchFlush(const std::bitset<kMaxCpus> &targets,
-                       FlushFn flushCpu, ShootdownMode mode,
-                       bool batched);
+                       std::span<const TagRange> ranges,
+                       ShootdownMode mode, bool batched);
+
+    /** The tick closure: run every TickFlush in the order queued. */
+    void runTickFlushes();
 
     unsigned batchDepth = 0;
     /** Strictest mode seen inside the open batch. */
     ShootdownMode batchMode = ShootdownMode::Lazy;
-    std::unordered_map<Pmap *, std::vector<PmapFlushRange>> batchPending;
+    /**
+     * Requests of the open batch, in arrival order until a close or
+     * drain sorts them.  All of these buffers keep their capacity
+     * across batches, so a close allocates nothing once warm.
+     */
+    std::vector<PendingRange> batchPending;
+    /** False once a record arrived out of (pmap, start) order. */
+    bool pendingSorted = true;
+    /** The merged (tag, start, end) list of the close in progress. */
+    std::vector<TagRange> flushList;
+    /**
+     * Deferred flushes closed since the last tick, and their ranges.
+     * At most one non-owning closure is queued per tick to run them,
+     * so this module must outlive any later tick of its machine.
+     */
+    std::vector<TickFlush> tickFlushes;
+    std::vector<TagRange> tickRanges;
 };
 
 /**

@@ -269,6 +269,7 @@ LinearPmapSystem::LinearPmapSystem(Machine &machine)
     : PmapSystem(machine)
 {
     pvView = &pvTable;
+    setPtesPerTablePage(128);
 }
 
 std::unique_ptr<Pmap>

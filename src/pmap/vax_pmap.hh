@@ -136,22 +136,32 @@ class LinearPmapSystem : public PmapSystem
     unsigned ptesPerTablePage() const { return ptesPerPage; }
 
     /** log2 of ptesPerTablePage (always a power of two). */
-    unsigned
-    pteIndexShift() const
-    {
-        MACH_ASSERT(std::has_single_bit(ptesPerPage));
-        return unsigned(std::countr_zero(ptesPerPage));
-    }
+    unsigned pteIndexShift() const { return pteShift; }
 
     PvTable &pv() { return pvTable; }
 
   protected:
     std::unique_ptr<Pmap> allocatePmap(bool kernel) override;
 
-    /** PTE slots per table page; 512-byte page / 4-byte PTE = 128. */
-    unsigned ptesPerPage = 128;
+    /**
+     * Set the PTE slots per table page (a power of two), checked
+     * here once so the lookup paths can use the cached shift.
+     */
+    void
+    setPtesPerTablePage(unsigned n)
+    {
+        MACH_ASSERT(std::has_single_bit(n));
+        ptesPerPage = n;
+        pteShift = unsigned(std::countr_zero(n));
+    }
 
     PvTable pvTable;
+
+  private:
+    /** PTE slots per table page; 512-byte page / 4-byte PTE = 128. */
+    unsigned ptesPerPage = 0;
+    /** log2(ptesPerPage), kept in step by setPtesPerTablePage. */
+    unsigned pteShift = 0;
 };
 
 /**

@@ -261,14 +261,28 @@ VmMap::clipEnd(Iter it, VmOffset addr)
 }
 
 KernReturn
+VmMap::checkRange(VmOffset start, VmSize size) const
+{
+    constexpr VmOffset kTop = ~VmOffset(0);
+    if (size > kTop - (sys.pageSize() - 1))
+        return KernReturn::InvalidArgument;
+    VmSize rounded = sys.pageRound(size);
+    if (rounded > kTop - start)
+        return KernReturn::InvalidArgument;
+    if (sys.pageTrunc(start) < minAddr || start + rounded > maxAddr)
+        return KernReturn::InvalidAddress;
+    return KernReturn::Success;
+}
+
+KernReturn
 VmMap::deallocate(VmOffset start, VmSize size)
 {
     if (size == 0)
         return KernReturn::Success;
+    if (KernReturn kr = checkRange(start, size); kr != KernReturn::Success)
+        return kr;
     VmOffset end = start + sys.pageRound(size);
     start = sys.pageTrunc(start);
-    if (start < minAddr || end > maxAddr)
-        return KernReturn::InvalidAddress;
 
     Iter it = entries.begin();
     while (it != entries.end() && it->end <= start)
@@ -306,6 +320,8 @@ VmMap::deallocate(VmOffset start, VmSize size)
 KernReturn
 VmMap::protect(VmOffset start, VmSize size, bool set_max, VmProt new_prot)
 {
+    if (KernReturn kr = checkRange(start, size); kr != KernReturn::Success)
+        return kr;
     VmOffset end = start + sys.pageRound(size);
     start = sys.pageTrunc(start);
 
@@ -394,6 +410,8 @@ VmMap::protect(VmOffset start, VmSize size, bool set_max, VmProt new_prot)
 KernReturn
 VmMap::inherit(VmOffset start, VmSize size, VmInherit inh)
 {
+    if (KernReturn kr = checkRange(start, size); kr != KernReturn::Success)
+        return kr;
     VmOffset end = start + sys.pageRound(size);
     start = sys.pageTrunc(start);
 
@@ -590,9 +608,14 @@ VmMap::virtualCopy(VmMap &dst_map, VmOffset src, VmSize size,
 {
     if (size == 0)
         return KernReturn::Success;
-    size = sys.pageRound(size);
     if (src % sys.pageSize() || dst % sys.pageSize())
         return KernReturn::InvalidArgument;
+    if (KernReturn kr = checkRange(src, size); kr != KernReturn::Success)
+        return kr;
+    if (KernReturn kr = dst_map.checkRange(dst, size);
+        kr != KernReturn::Success)
+        return kr;
+    size = sys.pageRound(size);
     VmOffset src_end = src + size;
 
     // Overlapping source and destination in the same map would

@@ -121,6 +121,14 @@ class VmMap
                               bool needs_copy, VmProt prot,
                               VmProt max_prot, VmInherit inherit);
 
+    /**
+     * The range check of every call that takes a range: the
+     * [pageTrunc(start), start + pageRound(size)) those calls work
+     * on must not wrap (KernReturn::InvalidArgument) and must lie
+     * inside the map (KernReturn::InvalidAddress).
+     */
+    KernReturn checkRange(VmOffset start, VmSize size) const;
+
     /** vm_deallocate. */
     KernReturn deallocate(VmOffset start, VmSize size);
 

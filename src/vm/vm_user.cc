@@ -85,6 +85,13 @@ vmRead(VmSys &sys, VmMap &map, VmOffset address, VmSize size,
        std::vector<std::uint8_t> *data)
 {
     chargeSyscall(sys);
+    data->clear();
+    if (size == 0)
+        return KernReturn::Success;
+    // Checked before sizing the buffer from the caller's count.
+    if (KernReturn kr = map.checkRange(address, size);
+        kr != KernReturn::Success)
+        return kr;
     data->resize(size);
     VmSize page = sys.pageSize();
     VmOffset va = address;

@@ -85,19 +85,21 @@ class BatchShootdownTest : public ::testing::TestWithParam<ArchType>
     }
 
     /**
-     * True if any CPU's TLB still holds an entry for the test range
-     * under @p pmap's tag (optionally only counting writable ones).
+     * True if any CPU's TLB still holds an entry under @p tag for
+     * test pages [@p first, @p first + @p count) (optionally only
+     * counting writable ones).
      */
     bool
-    staleEntry(Pmap *pmap, bool writable_only)
+    staleEntry(const void *tag, bool writable_only, unsigned first = 0,
+               unsigned count = kPages)
     {
         unsigned shift = spec.hwPageShift;
         VmSize hw = spec.hwPageSize();
+        VmOffset lo = addr + first * page;
         for (CpuId cpu = 0; cpu < kCpus; ++cpu) {
             Tlb &tlb = kernel->machine.cpu(cpu).tlb;
-            for (VmOffset va = addr; va < addr + kPages * page;
-                 va += hw) {
-                TlbEntry *e = tlb.lookup(pmap->tlbTag(), va >> shift);
+            for (VmOffset va = lo; va < lo + count * page; va += hw) {
+                TlbEntry *e = tlb.lookup(tag, va >> shift);
                 if (e &&
                     (!writable_only ||
                      protIncludes(e->prot, VmProt::Write)))
@@ -105,6 +107,37 @@ class BatchShootdownTest : public ::testing::TestWithParam<ArchType>
             }
         }
         return false;
+    }
+
+    bool
+    staleEntry(Pmap *pmap, bool writable_only)
+    {
+        return staleEntry(pmap->tlbTag(), writable_only);
+    }
+
+    /**
+     * Fork a child sharing the test range, running on CPUs 2-3 while
+     * the parent keeps CPUs 0-1; every CPU caches the range writable
+     * under its own task's pmap tag.
+     */
+    Task *
+    forkSharingChild()
+    {
+        EXPECT_EQ(vmInherit(*kernel->vm, task->map(), addr,
+                            kPages * page, VmInherit::Share),
+                  KernReturn::Success);
+        Task *child = kernel->taskFork(*task);
+        EXPECT_NE(child, nullptr);
+        kernel->switchTo(child, 2);
+        kernel->switchTo(child, 3);
+        for (CpuId cpu = 0; cpu < kCpus; ++cpu) {
+            kernel->machine.setCurrentCpu(cpu);
+            EXPECT_EQ(kernel->machine.touch(cpu, addr, kPages * page,
+                                            AccessType::Write),
+                      KernReturn::Success);
+        }
+        kernel->machine.setCurrentCpu(0);
+        return child;
     }
 
     MachineSpec spec;
@@ -226,25 +259,8 @@ TEST_P(BatchShootdownTest, LazyBatchTakesNoRemoteAction)
 
 TEST_P(BatchShootdownTest, BatchSpanningTwoPmapsFlushesBoth)
 {
-    // Share the range so the fork child maps the same physical
-    // pages through its own pmap.
-    ASSERT_EQ(vmInherit(*kernel->vm, task->map(), addr, kPages * page,
-                        VmInherit::Share),
-              KernReturn::Success);
-    Task *child = kernel->taskFork(*task);
+    Task *child = forkSharingChild();
     ASSERT_NE(child, nullptr);
-
-    // Parent runs on CPUs 0-1, child on CPUs 2-3; each caches the
-    // shared range in its own pmap's tag.
-    kernel->switchTo(child, 2);
-    kernel->switchTo(child, 3);
-    for (CpuId cpu = 0; cpu < kCpus; ++cpu) {
-        kernel->machine.setCurrentCpu(cpu);
-        ASSERT_EQ(kernel->machine.touch(cpu, addr, kPages * page,
-                                        AccessType::Write),
-                  KernReturn::Success);
-    }
-    kernel->machine.setCurrentCpu(0);
 
     auto pas = physPages();
     std::uint64_t ipis0 = kernel->machine.ipiCount();
@@ -282,6 +298,118 @@ TEST_P(BatchShootdownTest, AblationSwitchRestoresPerPageFlushes)
     EXPECT_GE(kernel->machine.ipiCount() - ipis0,
               std::uint64_t(kPages) * (kCpus - 1));
     EXPECT_FALSE(staleEntry(task->map().getPmap(), true));
+}
+
+TEST_P(BatchShootdownTest, TwoDeferredBatchesFlushAtOneTick)
+{
+    auto pas = physPages();
+    const void *tag = task->map().getPmap()->tlbTag();
+    std::uint64_t deferred0 = kernel->pmaps->deferredFlushes;
+    constexpr unsigned kHalf = kPages / 2;
+
+    {
+        PmapBatch batch(*kernel->pmaps);
+        for (unsigned i = 0; i < kHalf; ++i)
+            kernel->pmaps->copyOnWrite(pas[i], ShootdownMode::Deferred);
+    }
+    EXPECT_TRUE(staleEntry(tag, true, 0, kHalf));
+    {
+        PmapBatch batch(*kernel->pmaps);
+        for (unsigned i = kHalf; i < kPages; ++i)
+            kernel->pmaps->copyOnWrite(pas[i], ShootdownMode::Deferred);
+    }
+
+    // Two closes, two queued flushes, and neither ran early.
+    EXPECT_EQ(kernel->pmaps->deferredFlushes, deferred0 + 2);
+    EXPECT_TRUE(staleEntry(tag, true, 0, kHalf));
+    EXPECT_TRUE(staleEntry(tag, true, kHalf, kPages - kHalf));
+
+    // One tick runs both.
+    kernel->machine.timerTick();
+    EXPECT_FALSE(staleEntry(tag, true));
+    EXPECT_EQ(kernel->machine.deferredCount(), 0u);
+}
+
+TEST_P(BatchShootdownTest, PmapDestroyedInsideBatchDrainsOnlyItsRanges)
+{
+    Task *child = forkSharingChild();
+    ASSERT_NE(child, nullptr);
+    // The child's pmap is freed below; keep its tag to probe TLBs.
+    const void *parentTag = task->map().getPmap()->tlbTag();
+    const void *childTag = child->map().getPmap()->tlbTag();
+    auto pas = physPages();
+    std::uint64_t flushes0 = kernel->pmaps->batchFlushes;
+
+    {
+        PmapBatch batch(*kernel->pmaps);
+        for (PhysAddr pa : pas)
+            kernel->pmaps->removeAll(pa, ShootdownMode::Immediate);
+        // Both pmaps' ranges are pending; nothing flushed yet.
+        EXPECT_EQ(kernel->pmaps->batchFlushes, flushes0);
+        EXPECT_TRUE(staleEntry(parentTag, false));
+        EXPECT_TRUE(staleEntry(childTag, false));
+
+        // Destroying the child's pmap flushes its ranges now, in a
+        // round of their own; the parent's stay pending.
+        kernel->taskTerminate(child);
+        EXPECT_EQ(kernel->pmaps->batchFlushes, flushes0 + 1);
+        EXPECT_FALSE(staleEntry(childTag, false));
+        EXPECT_TRUE(staleEntry(parentTag, false));
+    }
+
+    // The close flushes the survivor's ranges.
+    EXPECT_EQ(kernel->pmaps->batchFlushes, flushes0 + 2);
+    EXPECT_FALSE(staleEntry(parentTag, false));
+    EXPECT_FALSE(staleEntry(childTag, false));
+}
+
+TEST_P(BatchShootdownTest, OutOfOrderRequestsAcrossPmapsMergeExactly)
+{
+    Task *child = forkSharingChild();
+    ASSERT_NE(child, nullptr);
+    Pmap &p = *task->map().getPmap();
+    Pmap &q = *child->map().getPmap();
+    auto pg = [&](unsigned i) { return addr + i * page; };
+
+    // Interleaved across the two pmaps and out of address order,
+    // with touching neighbours arriving back to back.
+    // Merged: p -> [0,1) [2,5) [7,8), q -> [0,2) [4,6): 5 ranges.
+    struct Req
+    {
+        Pmap *pmap;
+        unsigned first;
+        unsigned last;
+    };
+    const Req reqs[] = {
+        {&p, 4, 5}, {&q, 4, 5}, {&p, 2, 3}, {&q, 0, 1},
+        {&p, 7, 8}, {&p, 3, 4}, {&p, 2, 3}, {&q, 5, 6},
+        {&q, 4, 5}, {&p, 0, 1}, {&q, 1, 2}, {&p, 2, 4},
+    };
+    constexpr std::uint64_t kRangesOut = 5;
+    const std::uint64_t requests = std::size(reqs);
+
+    std::uint64_t coalesced0 = kernel->pmaps->shootdownsCoalesced;
+    std::uint64_t merged0 = kernel->pmaps->batchRangesMerged;
+    std::uint64_t flushes0 = kernel->pmaps->batchFlushes;
+    std::uint64_t ipis0 = kernel->machine.ipiCount();
+    {
+        PmapBatch batch(*kernel->pmaps);
+        for (const Req &r : reqs)
+            kernel->pmaps->shootdownRange(*r.pmap, pg(r.first),
+                                          pg(r.last),
+                                          ShootdownMode::Immediate);
+    }
+
+    EXPECT_EQ(kernel->pmaps->shootdownsCoalesced, coalesced0 + requests);
+    EXPECT_EQ(kernel->pmaps->batchRangesMerged,
+              merged0 + requests - kRangesOut);
+    EXPECT_EQ(kernel->pmaps->batchFlushes, flushes0 + 1);
+    EXPECT_LE(kernel->machine.ipiCount() - ipis0, kCpus - 1);
+
+    // Every requested page is gone from every TLB.
+    for (const Req &r : reqs)
+        EXPECT_FALSE(staleEntry(r.pmap->tlbTag(), false, r.first,
+                                r.last - r.first));
 }
 
 INSTANTIATE_TEST_SUITE_P(

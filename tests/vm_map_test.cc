@@ -13,6 +13,7 @@
 #include "vm/vm_map.hh"
 #include "vm/vm_object.hh"
 #include "vm/vm_sys.hh"
+#include "vm/vm_user.hh"
 
 namespace mach
 {
@@ -509,6 +510,79 @@ TEST_F(VmMapTest, TypicalProcessHasFewEntries)
     // data/bss merge (same attributes, adjacent): ≤ 5 entries, and
     // a sparse gigabyte-wide space costs nothing extra.
     EXPECT_LE(map->entryCount(), 5u);
+}
+
+/**
+ * User-API range checks: a size whose page-rounded end wraps past
+ * 2^64 is refused with KERN_INVALID_ARGUMENT and changes nothing.
+ */
+class VmMapRangeTest : public VmMapTest
+{
+  protected:
+    void
+    SetUp() override
+    {
+        VmMapTest::SetUp();
+        addr = 8 * page;
+        ASSERT_EQ(map->allocate(&addr, 4 * page, false),
+                  KernReturn::Success);
+        wrap = ~VmSize(0) - page + 1; // 2^64 - page
+    }
+
+    /** The region at addr, as vm_regions reports it. */
+    VmRegionInfo
+    regionAt(VmOffset va)
+    {
+        VmRegionInfo info;
+        EXPECT_EQ(map->region(&va, &info), KernReturn::Success);
+        return info;
+    }
+
+    VmOffset addr = 0;
+    VmSize wrap = 0;
+};
+
+TEST_F(VmMapRangeTest, CopyWithWrappingSizeKeepsDestination)
+{
+    VmOffset dst = 64 * page;
+    ASSERT_EQ(map->allocate(&dst, 4 * page, false), KernReturn::Success);
+    EXPECT_EQ(vmCopy(*vm, *map, addr, wrap, dst),
+              KernReturn::InvalidArgument);
+    // The destination used to be deallocated before the (skipped)
+    // coverage check; both regions must survive.
+    EXPECT_EQ(map->entryCount(), 2u);
+    EXPECT_EQ(map->virtualSize(), 8 * page);
+    EXPECT_EQ(regionAt(dst).start, dst);
+}
+
+TEST_F(VmMapRangeTest, DeallocateWithWrappingSizeIsRefused)
+{
+    EXPECT_EQ(vmDeallocate(*vm, *map, addr, wrap),
+              KernReturn::InvalidArgument);
+    EXPECT_EQ(map->virtualSize(), 4 * page);
+}
+
+TEST_F(VmMapRangeTest, ProtectWithWrappingSizeIsRefused)
+{
+    EXPECT_EQ(vmProtect(*vm, *map, addr, wrap, false, VmProt::Read),
+              KernReturn::InvalidArgument);
+    EXPECT_EQ(regionAt(addr).protection, VmProt::Default);
+}
+
+TEST_F(VmMapRangeTest, InheritWithWrappingSizeIsRefused)
+{
+    EXPECT_EQ(vmInherit(*vm, *map, addr, wrap, VmInherit::Share),
+              KernReturn::InvalidArgument);
+    EXPECT_EQ(regionAt(addr).inheritance, VmInherit::Copy);
+}
+
+TEST_F(VmMapRangeTest, ReadWithWrappingSizeIsRefused)
+{
+    std::vector<std::uint8_t> data(3, 0xAA);
+    // Used to throw std::length_error sizing the buffer.
+    EXPECT_EQ(vmRead(*vm, *map, addr, wrap, &data),
+              KernReturn::InvalidArgument);
+    EXPECT_TRUE(data.empty());
 }
 
 } // namespace
