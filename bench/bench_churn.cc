@@ -15,15 +15,12 @@
  *  - the oldest task exits as each new one is born (object and page
  *    teardown under pressure).
  *
- * Reported metrics are exact simulated counts (gated by
- * tools/check_bench.py) plus the host-side fault throughput of the
- * storm loop under the gate-exempt "host_rate" unit — the number the
- * sparse-structure work (per-object radix trees, zone allocation) is
- * meant to move.  `resident_recount_diff` cross-checks resident-set
- * accounting between the map-walk path (vmTaskInfo, intrusive page
- * lists) and the indexed lookup path (ResidentPageTable::lookup);
- * any disagreement between the two structures shows up as a nonzero
- * gated value.
+ * Every reported metric is an exact simulated count or time, gated
+ * by tools/check_bench.py.  `resident_recount_diff` cross-checks
+ * resident-set accounting between the map-walk path (vmTaskInfo,
+ * intrusive page lists) and the indexed lookup path
+ * (ResidentPageTable::lookup); any disagreement between the two
+ * structures shows up as a nonzero gated value.
  *
  * `--tasks N` shrinks the storm (CI sanitizer smoke runs); the gated
  * baseline corresponds to the default 10000-task storm, so `--json`
@@ -31,9 +28,7 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <string>
 #include <vector>
@@ -48,6 +43,8 @@ namespace mach
 {
 namespace
 {
+
+using namespace bench;
 
 /** Deterministic 64-bit LCG (host randomness is never used). */
 struct Lcg
@@ -263,21 +260,11 @@ struct Churn
 };
 
 } // namespace
-} // namespace mach
 
-int
-main(int argc, char **argv)
+void
+bench::churn(Report &report)
 {
-    using namespace mach;
-    setQuiet(true);
-    bench::Report report("bench_churn", argc, argv);
-
-    unsigned total_tasks = 10000;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--tasks") == 0 && i + 1 < argc)
-            total_tasks = unsigned(std::atoi(argv[i + 1]));
-    }
-
+    unsigned total_tasks = report.tasks();
     MachineSpec spec = MachineSpec::microVax2();
     // RAM capped far below the aggregate working set (population x
     // (data + scratch) + text) so the pageout daemon never rests.
@@ -292,65 +279,9 @@ main(int argc, char **argv)
         text[i] = std::uint8_t(i * 2654435761u >> 16);
     kernel.createFile("text", text.data(), text.size());
 
-    std::printf("churn storm: %u tasks, population %u, "
-                "%llu KB RAM\n",
-                total_tasks, kLivePopulation,
+    std::printf("%u tasks, population %u, %llu KB RAM\n", total_tasks,
+                kLivePopulation,
                 (unsigned long long)(spec.physMemBytes >> 10));
-
-    Churn churn(kernel);
-    VmStatistics before = kernel.vm->statistics();
-    SimTime t0 = kernel.now();
-    auto host0 = std::chrono::steady_clock::now();
-    for (unsigned seq = 0; seq < total_tasks; ++seq)
-        churn.spawn(seq);
-    std::chrono::duration<double> host_elapsed =
-        std::chrono::steady_clock::now() - host0;
-    SimTime sim_elapsed = kernel.now() - t0;
-
-    VmStatistics after = kernel.vm->statistics();
-    std::uint64_t faults = after.faults - before.faults;
-    std::uint64_t walked = 0, indexed = 0;
-    churn.residentRecount(&walked, &indexed);
-    std::uint64_t recount_diff =
-        walked > indexed ? walked - indexed : indexed - walked;
-    unsigned chain = churn.maxChain();
-
-    auto snap = kernel.vm->metricsSnapshot();
-    double host_rate = double(faults) / host_elapsed.count();
-
-    std::printf("  faults        %12llu (%.0f/s host)\n",
-                (unsigned long long)faults, host_rate);
-    std::printf("  cow faults    %12llu\n",
-                (unsigned long long)(after.cowFaults -
-                                     before.cowFaults));
-    std::printf("  pageins       %12llu\n",
-                (unsigned long long)(after.pageins - before.pageins));
-    std::printf("  pageouts      %12llu\n",
-                (unsigned long long)(after.pageouts -
-                                     before.pageouts));
-    std::printf("  reactivations %12llu\n",
-                (unsigned long long)(after.reactivations -
-                                     before.reactivations));
-    std::printf("  collapses     %12llu\n",
-                (unsigned long long)(after.objectCollapses -
-                                     before.objectCollapses));
-    std::printf("  daemon passes %12llu\n",
-                (unsigned long long)snap.counterValue(
-                    "pageout.passes"));
-    std::printf("  max chain     %12u\n", chain);
-    std::printf("  resident      %12llu walked / %llu indexed "
-                "(diff %llu)\n",
-                (unsigned long long)walked,
-                (unsigned long long)indexed,
-                (unsigned long long)recount_diff);
-    std::printf("  sim time      %12.1f ms   host time %.2f s\n",
-                double(sim_elapsed) / 1e6, host_elapsed.count());
-
-    if (after.pageouts == before.pageouts)
-        panic("churn: pageout daemon never laundered a page "
-              "(RAM cap too generous — the storm must run under "
-              "memory pressure)");
-
     if (report.jsonRequested() && total_tasks != 10000) {
         std::fprintf(stderr,
                      "bench_churn: --json with --tasks %u is not "
@@ -358,42 +289,54 @@ main(int argc, char **argv)
                      total_tasks);
     }
 
-    report.add("uvax2", "tasks_churned", double(total_tasks),
-               "count");
-    report.add("uvax2", "faults", double(faults), "count");
-    report.add("uvax2", "cow_faults",
-               double(after.cowFaults - before.cowFaults), "count");
-    report.add("uvax2", "zero_fills",
-               double(after.zeroFillCount - before.zeroFillCount),
-               "count");
-    report.add("uvax2", "pageins",
-               double(after.pageins - before.pageins), "count");
-    report.add("uvax2", "pageouts",
-               double(after.pageouts - before.pageouts), "count");
-    report.add("uvax2", "reactivations",
-               double(after.reactivations - before.reactivations),
-               "count");
-    report.add("uvax2", "object_collapses",
-               double(after.objectCollapses - before.objectCollapses),
-               "count");
-    report.add("uvax2", "pageout_passes",
-               double(snap.counterValue("pageout.passes")), "count");
-    report.add("uvax2", "max_shadow_chain", double(chain), "count");
-    report.add("uvax2", "resident_walked", double(walked), "count");
-    report.add("uvax2", "resident_recount_diff", double(recount_diff),
-               "count");
-    report.add("uvax2", "sim_total", double(sim_elapsed), "ns");
-    report.add("uvax2", "host_faults_per_second", host_rate,
-               "host_rate");
-    // Allocator telemetry (zone allocators surface their chunk /
-    // high-water stats through the metrics registry; zero when the
-    // zones are not compiled in yet).
-    for (const char *m :
-         {"zone.vm_page.chunks", "zone.vm_page.high_water",
-          "zone.map_entry.chunks", "zone.map_entry.high_water",
-          "zone.radix_node.chunks", "zone.radix_node.high_water"}) {
-        report.add("uvax2", m, double(snap.counterValue(m)),
-                   "count");
-    }
-    return report.finish();
+    Churn churn(kernel);
+    VmStatistics before = kernel.vm->statistics();
+    SimTime t0 = kernel.now();
+    for (unsigned seq = 0; seq < total_tasks; ++seq)
+        churn.spawn(seq);
+    SimTime sim_elapsed = kernel.now() - t0;
+
+    VmStatistics after = kernel.vm->statistics();
+    if (after.pageouts == before.pageouts)
+        panic("churn: pageout daemon never laundered a page "
+              "(RAM cap too generous — the storm must run under "
+              "memory pressure)");
+    std::uint64_t walked = 0, indexed = 0;
+    churn.residentRecount(&walked, &indexed);
+    unsigned chain = churn.maxChain();
+    auto snap = kernel.vm->metricsSnapshot();
+    auto counter = [&](const char *m) {
+        return count(m, snap.counterValue(m));
+    };
+    auto delta = [&](const char *m, std::uint64_t VmStatistics::*field) {
+        return count(m, after.*field - before.*field);
+    };
+    // Allocator telemetry: the slab zones surface their chunk and
+    // high-water counts through the metrics registry.
+    report.list("uvax2",
+                {count("tasks_churned", total_tasks),
+                 delta("faults", &VmStatistics::faults),
+                 delta("cow_faults", &VmStatistics::cowFaults),
+                 delta("zero_fills", &VmStatistics::zeroFillCount),
+                 delta("pageins", &VmStatistics::pageins),
+                 delta("pageouts", &VmStatistics::pageouts),
+                 delta("reactivations", &VmStatistics::reactivations),
+                 delta("object_collapses",
+                       &VmStatistics::objectCollapses),
+                 count("pageout_passes",
+                       snap.counterValue("pageout.passes")),
+                 count("max_shadow_chain", chain),
+                 count("resident_walked", walked),
+                 count("resident_recount_diff", walked > indexed
+                                                    ? walked - indexed
+                                                    : indexed - walked),
+                 ns("sim_total", sim_elapsed),
+                 counter("zone.vm_page.chunks"),
+                 counter("zone.vm_page.high_water"),
+                 counter("zone.map_entry.chunks"),
+                 counter("zone.map_entry.high_water"),
+                 counter("zone.radix_node.chunks"),
+                 counter("zone.radix_node.high_water")});
 }
+
+} // namespace mach

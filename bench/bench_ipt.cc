@@ -14,12 +14,10 @@
  * anyway.
  */
 
-#include <cstdio>
+#include <string>
 #include <vector>
 
-#include "base/logging.hh"
 #include "bench_report.hh"
-#include "bench_util.hh"
 #include "kern/kernel.hh"
 #include "pmap/rt_pmap.hh"
 #include "vm/vm_user.hh"
@@ -29,15 +27,22 @@ namespace mach
 namespace
 {
 
-struct ShareResult
-{
-    std::uint64_t faults;
-    std::uint64_t aliasEvictions;
-    SimTime time;
-};
+using namespace bench;
 
-ShareResult
-roundRobinShare(const MachineSpec &spec, unsigned tasks,
+/** The 8MB machines both tables run on. */
+std::vector<MachineSpec>
+machines()
+{
+    std::vector<MachineSpec> specs = {MachineSpec::rtPc(),
+                                      MachineSpec::microVax2()};
+    for (MachineSpec &spec : specs)
+        spec.physMemBytes = 8ull << 20;
+    return specs;
+}
+
+/** Touch one shared page round-robin from @p tasks tasks; one row. */
+void
+roundRobinShare(Report &report, const MachineSpec &spec, unsigned tasks,
                 unsigned rounds)
 {
     Kernel kernel(spec);
@@ -58,27 +63,28 @@ roundRobinShare(const MachineSpec &spec, unsigned tasks,
     for (Task *t : all)
         (void)kernel.taskTouch(*t, addr, 1, AccessType::Read);
 
+    auto evictions = [&]() -> std::uint64_t {
+        if (spec.arch != ArchType::RtPc)
+            return 0;
+        return static_cast<RtPmapSystem *>(kernel.pmaps.get())
+            ->aliasEvictions;
+    };
     std::uint64_t faults0 = kernel.vm->stats.faults;
-    std::uint64_t evict0 = 0;
-    if (spec.arch == ArchType::RtPc) {
-        evict0 = static_cast<RtPmapSystem *>(kernel.pmaps.get())
-                     ->aliasEvictions;
-    }
+    std::uint64_t evict0 = evictions();
     SimTime t0 = kernel.now();
     for (unsigned r = 0; r < rounds; ++r) {
         for (Task *t : all)
             (void)kernel.taskTouch(*t, addr, 1, AccessType::Read);
     }
 
-    ShareResult res{};
-    res.faults = kernel.vm->stats.faults - faults0;
-    res.time = kernel.now() - t0;
-    if (spec.arch == ArchType::RtPc) {
-        res.aliasEvictions =
-            static_cast<RtPmapSystem *>(kernel.pmaps.get())
-                ->aliasEvictions - evict0;
-    }
-    return res;
+    std::string tag = std::to_string(tasks) + "tasks";
+    const char *name = archTypeName(spec.arch);
+    report.row(name, {name, std::to_string(tasks),
+                      count("share_faults_" + tag,
+                            kernel.vm->stats.faults - faults0),
+                      count("share_evictions_" + tag,
+                            evictions() - evict0),
+                      ns("share_time_" + tag, kernel.now() - t0)});
 }
 
 /** A "normal application" mix: mostly private pages, one shared. */
@@ -116,57 +122,29 @@ normalMix(const MachineSpec &spec)
 }
 
 } // namespace
-} // namespace mach
 
-int
-main(int argc, char **argv)
+void
+bench::ipt(Report &report)
 {
-    using namespace mach;
-    setQuiet(true);
-    bench::Report report("bench_ipt", argc, argv);
-
-    std::printf("Ablation C: inverted-page-table aliasing "
-                "(section 5.1)\n\n");
-    std::printf("Round-robin read of one shared page, 16 rounds:\n");
-    std::printf("%-10s %-10s %10s %12s %12s\n", "machine", "tasks",
-                "faults", "evictions", "time");
+    report.table("Round-robin read of one shared page, 16 rounds:",
+                 {{"machine", -10}, {"tasks", -10}, {"faults", 10},
+                  {"evictions", 12}, {"time", 12}});
     for (unsigned tasks : {2u, 4u, 8u}) {
-        for (auto arch : {MachineSpec::rtPc(),
-                          MachineSpec::microVax2()}) {
-            MachineSpec spec = arch;
-            spec.physMemBytes = 8ull << 20;
-            ShareResult r = roundRobinShare(spec, tasks, 16);
-            std::printf("%-10s %-10u %10llu %12llu %12s\n",
-                        archTypeName(spec.arch), tasks,
-                        (unsigned long long)r.faults,
-                        (unsigned long long)r.aliasEvictions,
-                        bench::ms(r.time).c_str());
-            std::string tag = std::to_string(tasks) + "tasks";
-            report.add(archTypeName(spec.arch),
-                       "share_faults_" + tag, double(r.faults),
-                       "count");
-            report.add(archTypeName(spec.arch),
-                       "share_evictions_" + tag,
-                       double(r.aliasEvictions), "count");
-            report.add(archTypeName(spec.arch), "share_time_" + tag,
-                       double(r.time), "ns");
-        }
+        for (const MachineSpec &spec : machines())
+            roundRobinShare(report, spec, tasks, 16);
     }
 
-    std::printf("\n'Normal application' mix (64 private touches per "
-                "shared touch):\n");
-    for (auto arch : {MachineSpec::rtPc(), MachineSpec::microVax2()}) {
-        MachineSpec spec = arch;
-        spec.physMemBytes = 8ull << 20;
-        SimTime mix = normalMix(spec);
-        std::printf("  %-10s %12s\n", archTypeName(spec.arch),
-                    bench::ms(mix).c_str());
-        report.add(archTypeName(spec.arch), "normal_mix", double(mix),
-                   "ns");
+    report.table("'Normal application' mix (64 private touches per "
+                 "shared touch):",
+                 {{"machine", -10}, {"time", 12}});
+    for (const MachineSpec &spec : machines()) {
+        const char *name = archTypeName(spec.arch);
+        report.row(name, {name, ns("normal_mix", normalMix(spec))});
     }
-    std::printf("\nSharing ping-pongs the single RT mapping (one "
+    report.note("Sharing ping-pongs the single RT mapping (one "
                 "fault per switch)\nwhile the VAX shares freely; in "
                 "a realistic mix the extra faults\nare noise, as the "
-                "paper observed.\n");
-    return report.finish();
+                "paper observed.");
 }
+
+} // namespace mach

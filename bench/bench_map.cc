@@ -14,7 +14,6 @@
 
 #include "base/logging.hh"
 #include "bench_report.hh"
-#include "bench_util.hh"
 #include "hw/machine.hh"
 #include "pmap/pmap.hh"
 #include "vm/vm_map.hh"
@@ -24,6 +23,8 @@ namespace mach
 {
 namespace
 {
+
+using namespace bench;
 
 struct Fixture
 {
@@ -86,18 +87,12 @@ sequentialPass(Fixture &f, unsigned entries, bool hint)
 }
 
 } // namespace
-} // namespace mach
 
-int
-main(int argc, char **argv)
+void
+bench::map(Report &report)
 {
-    using namespace mach;
-    setQuiet(true);
-    bench::Report report("bench_map", argc, argv);
-
-    std::printf("Ablation B: address map lookup hint (section 3.2)\n");
-    std::printf("%-10s %16s %16s %12s\n", "entries", "hint on",
-                "hint off", "hit rate");
+    report.table(nullptr, {{"entries", -10}, {"hint on", 16},
+                           {"hint off", 16}, {"hit rate", 12}});
     for (unsigned n : {8u, 32u, 128u, 512u, 2048u}) {
         Fixture f(n);
         std::uint64_t lookups0 = f.vm->stats.lookups;
@@ -107,19 +102,15 @@ main(int argc, char **argv)
             double(f.vm->stats.hits - hits0) /
             double(f.vm->stats.lookups - lookups0);
         SimTime without = sequentialPass(f, n, false);
-        std::printf("%-10u %13.1fus %13.1fus %11.0f%%\n", n,
-                    double(with) / 1e3, double(without) / 1e3,
-                    rate * 100.0);
         std::string tag = std::to_string(n);
-        report.add("uvax2", "lookup_hinted_" + tag, double(with),
-                   "ns");
-        report.add("uvax2", "lookup_unhinted_" + tag, double(without),
-                   "ns");
-        report.add("uvax2", "hint_hit_rate_" + tag, rate, "ratio");
+        report.row("uvax2", {tag, ns("lookup_hinted_" + tag, with, us),
+                             ns("lookup_unhinted_" + tag, without, us),
+                             ratio("hint_hit_rate_" + tag, rate)});
     }
-    std::printf("\nHinted lookups stay O(1) as the map grows; "
+    report.note("Hinted lookups stay O(1) as the map grows; "
                 "unhinted ones scan\nlinearly (yet even a "
                 "2048-entry map is far larger than the five\n"
-                "entries of a typical process).\n");
-    return report.finish();
+                "entries of a typical process).");
 }
+
+} // namespace mach

@@ -1,18 +1,15 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) of the core machine-independent
- * data structures: address-map operations, the resident page table's
- * object/offset hash, object allocation, and the full fault path.
+ * data structures: address-map operations, the per-object page tree,
+ * object allocation, and the full fault path.
  * These measure *host* wall-clock cost of the implementation, not
  * simulated time — useful for keeping the simulator itself fast.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <memory>
-
-#include "bench_report.hh"
 
 #include "base/logging.hh"
 #include "hw/machine.hh"
@@ -97,7 +94,7 @@ BM_MapLookupHinted(benchmark::State &state)
 BENCHMARK(BM_MapLookupHinted)->Arg(8)->Arg(128)->Arg(1024);
 
 void
-BM_ResidentHashLookup(benchmark::State &state)
+BM_PageTreeLookup(benchmark::State &state)
 {
     VmFixture f;
     VmSize page = f.vm->pageSize();
@@ -113,7 +110,7 @@ BM_ResidentHashLookup(benchmark::State &state)
     }
     obj->deallocate();
 }
-BENCHMARK(BM_ResidentHashLookup);
+BENCHMARK(BM_PageTreeLookup);
 
 void
 BM_ObjectCreateDestroy(benchmark::State &state)
@@ -177,35 +174,6 @@ BM_CowFaultPair(benchmark::State &state)
 }
 BENCHMARK(BM_CowFaultPair);
 
-/**
- * Host-side fault throughput: zero-fill faults driven through the
- * full vm_fault path per wall-clock second.  Reported in --json mode
- * under the gate-exempt "host_rate" unit (host time is not
- * reproducible across runners; the value is informational).
- */
-double
-hostFaultsPerSecond()
-{
-    VmFixture f;
-    VmSize page = f.vm->pageSize();
-    const unsigned batch = 1024;
-    VmOffset addr = 0;
-    std::uint64_t faults = 0;
-    auto t0 = std::chrono::steady_clock::now();
-    std::chrono::duration<double> elapsed{};
-    do {
-        addr = 0;
-        (void)f.map->allocate(&addr, batch * page, true);
-        for (unsigned i = 0; i < batch; ++i)
-            (void)f.vm->fault(*f.map, addr + i * page,
-                              FaultType::Write);
-        faults += batch;
-        (void)f.map->deallocate(addr, batch * page);
-        elapsed = std::chrono::steady_clock::now() - t0;
-    } while (elapsed.count() < 0.2);
-    return double(faults) / elapsed.count();
-}
-
 void
 BM_PmapEnterRemove(benchmark::State &state)
 {
@@ -225,17 +193,6 @@ int
 main(int argc, char **argv)
 {
     mach::setQuiet(true);
-    // These microbenchmarks measure host wall-clock time, which is
-    // not reproducible across CI runners; in --json mode skip the
-    // google-benchmark suite and emit only the gate-exempt host
-    // fault-throughput record, so the regression harness can treat
-    // every bench binary uniformly.
-    mach::bench::Report report("bench_micro", argc, argv);
-    if (report.jsonRequested()) {
-        report.add("uvax2", "host_faults_per_second",
-                   mach::hostFaultsPerSecond(), "host_rate");
-        return report.finish();
-    }
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;

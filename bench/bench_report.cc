@@ -1,7 +1,7 @@
 #include "bench_report.hh"
 
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "sim/trace_export.hh"
@@ -9,19 +9,48 @@
 namespace mach::bench
 {
 
-Report::Report(std::string benchmark_, int argc, char **argv)
-    : benchmark(std::move(benchmark_))
+std::string
+format(const char *fmt, double v)
+{
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), fmt, v);
+    return buf;
+}
+
+std::string
+minSec(SimTime t)
+{
+    std::uint64_t total = std::uint64_t(t / 1e9 + 0.5);
+    return std::to_string(total / 60) + format(":%02.0f", total % 60);
+}
+
+Report::Report(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
-        if (i + 1 < argc && std::strcmp(argv[i], "--json") == 0) {
-            path = argv[i + 1];
-        } else if (i + 1 < argc &&
-                   std::strcmp(argv[i], "--trace-out") == 0) {
-            tracePath = argv[i + 1];
-        } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
-            tracePath = argv[i] + 12;
+        const char *arg = argv[i];
+        bool has_value = i + 1 < argc;
+        if (has_value && std::strcmp(arg, "--json") == 0) {
+            path = argv[++i];
+        } else if (has_value && std::strcmp(arg, "--trace-out") == 0) {
+            tracePath = argv[++i];
+        } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
+            tracePath = arg + 12;
+        } else if (has_value && std::strcmp(arg, "--tasks") == 0) {
+            taskCount = unsigned(std::atoi(argv[++i]));
+        } else if (std::strncmp(arg, "--", 2) == 0) {
+            std::fprintf(stderr, "unknown option %s\n", arg);
+            valid = false;
+        } else {
+            selected.push_back(arg);
         }
     }
+}
+
+void
+Report::begin(const std::string &benchmark_, const char *title)
+{
+    benchmark = benchmark_;
+    std::printf("\n== %s: %s\n", benchmark.c_str(), title);
 }
 
 void
@@ -39,56 +68,58 @@ Report::attachTrace(SimClock &clock, unsigned ncpus)
 }
 
 void
-Report::add(const std::string &arch, const std::string &metric,
-            double value, const std::string &unit)
+Report::table(const char *title, std::vector<Column> columns_)
 {
-    records.push_back({arch, metric, value, unit});
-}
-
-namespace
-{
-
-/** Metric/arch names are plain identifiers; escape defensively. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
+    columns = std::move(columns_);
+    if (title)
+        std::printf("\n%s\n", title);
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+        std::printf("%s%*s", i ? " " : "", columns[i].width,
+                    columns[i].name);
     }
-    return out;
+    std::printf("\n");
 }
 
-std::string
-jsonNumber(double v)
+void
+Report::row(const std::string &arch, const std::vector<Cell> &cells)
 {
-    char buf[40];
-    if (std::isfinite(v) && v == std::floor(v) &&
-        std::fabs(v) < 1e15) {
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-    } else {
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        int width = i < columns.size() ? columns[i].width : 0;
+        std::printf("%s%*s", i ? " " : "", width, cells[i].text.c_str());
+        record(arch, cells[i]);
     }
-    return buf;
+    std::printf("\n");
 }
 
-} // namespace
+void
+Report::list(const std::string &arch, const std::vector<Cell> &cells)
+{
+    for (const Cell &c : cells) {
+        std::printf("  %-28s %14s\n", c.metric.c_str(), c.text.c_str());
+        record(arch, c);
+    }
+}
+
+void
+Report::record(const std::string &arch, const Cell &cell)
+{
+    if (!cell.metric.empty()) {
+        records.push_back(
+            {benchmark, arch, cell.metric, cell.value, cell.unit});
+    }
+}
 
 int
 Report::finish() const
 {
     if (!tracePath.empty()) {
         if (!sink) {
-            std::fprintf(stderr,
-                         "--trace-out given but no workload attached "
-                         "a trace sink\n");
+            std::fprintf(stderr, "--trace-out given but no workload "
+                                 "attached a trace sink\n");
             return 1;
         }
         if (!writeChromeTrace(*sink, traceCpus, tracePath)) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         tracePath.c_str());
+            std::fprintf(stderr, "cannot write %s\n", tracePath.c_str());
             return 1;
         }
     }
@@ -99,19 +130,20 @@ Report::finish() const
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
         return 1;
     }
+    // Names are plain identifiers, so they need no JSON escaping.
     std::fprintf(f, "[\n");
     for (std::size_t i = 0; i < records.size(); ++i) {
         const Record &r = records[i];
+        bool integral = r.value == std::floor(r.value) &&
+                        std::fabs(r.value) < 1e15;
         std::fprintf(f,
                      "  {\"benchmark\": \"%s\", \"arch\": \"%s\", "
                      "\"metric\": \"%s\", \"value\": %s, "
                      "\"unit\": \"%s\"}%s\n",
-                     jsonEscape(benchmark).c_str(),
-                     jsonEscape(r.arch).c_str(),
-                     jsonEscape(r.metric).c_str(),
-                     jsonNumber(r.value).c_str(),
-                     jsonEscape(r.unit).c_str(),
-                     i + 1 < records.size() ? "," : "");
+                     r.benchmark.c_str(), r.arch.c_str(),
+                     r.metric.c_str(),
+                     format(integral ? "%.0f" : "%.17g", r.value).c_str(),
+                     r.unit.c_str(), i + 1 < records.size() ? "," : "");
     }
     std::fprintf(f, "]\n");
     std::fclose(f);

@@ -14,7 +14,6 @@
 
 #include "base/logging.hh"
 #include "bench_report.hh"
-#include "bench_util.hh"
 #include "kern/kernel.hh"
 #include "vm/vm_object.hh"
 
@@ -23,25 +22,15 @@ namespace mach
 namespace
 {
 
-MachineSpec
-test_spec()
+using namespace bench;
+
+/** Run one fork chain and print its row. */
+void
+forkChain(Report &report, unsigned generations, bool collapse)
 {
     MachineSpec spec = MachineSpec::microVax2();
     spec.physMemBytes = 8ull << 20;
-    return spec;
-}
-
-struct Result
-{
-    unsigned chainLength;
-    SimTime faultTime;      //!< read-fault cost at full depth
-    std::uint64_t objects;  //!< live objects at the end
-};
-
-Result
-forkChain(unsigned generations, bool collapse)
-{
-    Kernel kernel(test_spec());
+    Kernel kernel(spec);
     kernel.vm->collapseEnabled = collapse;
     VmSize page = kernel.pageSize();
 
@@ -63,9 +52,8 @@ forkChain(unsigned generations, bool collapse)
     VmMap::LookupResult lr;
     KernReturn kr = task->map().lookup(addr, FaultType::Read, lr);
     MACH_ASSERT(kr == KernReturn::Success);
-    Result r{};
-    r.chainLength = lr.object->chainLength();
-    r.objects = kernel.vm->liveObjects;
+    unsigned chain = lr.object->chainLength();
+    std::uint64_t objects = kernel.vm->liveObjects;
 
     // Cost of a fault that must walk the whole chain: fault on the
     // never-written last page after dropping its mappings.
@@ -73,43 +61,31 @@ forkChain(unsigned generations, bool collapse)
     task->getPmap()->remove(probe, probe + page);
     SimTime t0 = kernel.now();
     (void)kernel.taskTouch(*task, probe, 1, AccessType::Read);
-    r.faultTime = kernel.now() - t0;
-    return r;
+
+    std::string tag =
+        std::to_string(generations) + (collapse ? "_collapse" : "_none");
+    report.row("uvax2", {collapse ? "on" : "off",
+                         std::to_string(generations),
+                         count("chain_len_" + tag, chain),
+                         ns("fault_cost_" + tag, kernel.now() - t0),
+                         count("live_objects_" + tag, objects)});
 }
 
 } // namespace
-} // namespace mach
 
-int
-main(int argc, char **argv)
+void
+bench::shadow(Report &report)
 {
-    using namespace mach;
-    setQuiet(true);
-    bench::Report report("bench_shadow", argc, argv);
-
-    std::printf("Ablation A: shadow chain garbage collection "
-                "(section 3.5)\n");
-    std::printf("%-12s %-10s %12s %14s %10s\n", "collapse", "forks",
-                "chain len", "fault cost", "objects");
+    report.table(nullptr, {{"collapse", -12}, {"forks", -10},
+                           {"chain len", 12}, {"fault cost", 14},
+                           {"objects", 10}});
     for (unsigned gens : {4u, 16u, 64u, 256u}) {
-        for (bool collapse : {true, false}) {
-            Result r = forkChain(gens, collapse);
-            std::printf("%-12s %-10u %12u %14s %10llu\n",
-                        collapse ? "on" : "off", gens, r.chainLength,
-                        bench::ms(r.faultTime).c_str(),
-                        (unsigned long long)r.objects);
-            std::string tag = std::to_string(gens) +
-                              (collapse ? "_collapse" : "_none");
-            report.add("uvax2", "chain_len_" + tag,
-                       double(r.chainLength), "count");
-            report.add("uvax2", "fault_cost_" + tag,
-                       double(r.faultTime), "ns");
-            report.add("uvax2", "live_objects_" + tag,
-                       double(r.objects), "count");
-        }
+        for (bool collapse : {true, false})
+            forkChain(report, gens, collapse);
     }
-    std::printf("\nWithout collapse the chain (and the cost of an "
+    report.note("Without collapse the chain (and the cost of an "
                 "unshadowed fault)\ngrows linearly with fork depth; "
-                "with it both stay bounded.\n");
-    return report.finish();
+                "with it both stay bounded.");
 }
+
+} // namespace mach

@@ -16,7 +16,6 @@
 
 #include "base/logging.hh"
 #include "bench_report.hh"
-#include "bench_util.hh"
 #include "kern/kernel.hh"
 #include "vm/vm_user.hh"
 
@@ -25,75 +24,14 @@ namespace mach
 namespace
 {
 
+using namespace bench;
+
 struct StormResult
 {
     SimTime time;
     std::uint64_t ipis;
     std::uint64_t deferred;
     std::uint64_t lazy;
-};
-
-StormResult
-protectStorm(unsigned cpus, ShootdownMode mode, unsigned rounds)
-{
-    MachineSpec spec = MachineSpec::encoreMultimax(cpus);
-    spec.physMemBytes = 8ull << 20;
-    Kernel kernel(spec);
-    kernel.pmaps->policy.protect = mode;
-    VmSize page = kernel.pageSize();
-
-    Task *task = kernel.taskCreate();
-    for (unsigned c = 0; c < cpus; ++c) {
-        kernel.threadCreate(*task);
-        kernel.switchTo(task, c);
-    }
-
-    VmOffset addr = 0;
-    VmSize size = 16 * page;
-    (void)task->map().allocate(&addr, size, true);
-    for (unsigned c = 0; c < cpus; ++c) {
-        kernel.machine.setCurrentCpu(c);
-        (void)kernel.machine.touch(c, addr, size, AccessType::Write);
-    }
-    kernel.machine.setCurrentCpu(0);
-
-    std::uint64_t ipis0 = kernel.machine.ipiCount();
-    std::uint64_t deferred0 = kernel.pmaps->deferredFlushes;
-    std::uint64_t lazy0 = kernel.pmaps->lazySkips;
-    SimTime t0 = kernel.now();
-    for (unsigned r = 0; r < rounds; ++r) {
-        (void)vmProtect(*kernel.vm, task->map(), addr, size, false,
-                        VmProt::Read);
-        kernel.machine.timerTick();
-        (void)vmProtect(*kernel.vm, task->map(), addr, size, false,
-                        VmProt::Default);
-        kernel.machine.timerTick();
-    }
-
-    StormResult res{};
-    res.time = kernel.now() - t0;
-    res.ipis = kernel.machine.ipiCount() - ipis0;
-    res.deferred = kernel.pmaps->deferredFlushes - deferred0;
-    res.lazy = kernel.pmaps->lazySkips - lazy0;
-    return res;
-}
-
-const char *
-modeName(ShootdownMode mode)
-{
-    switch (mode) {
-      case ShootdownMode::Immediate: return "immediate";
-      case ShootdownMode::Deferred: return "deferred";
-      case ShootdownMode::Lazy: return "lazy";
-    }
-    return "?";
-}
-
-/** Result of one batched-vs-unbatched measurement. */
-struct BatchResult
-{
-    SimTime time;
-    std::uint64_t ipis;
 };
 
 /** Build a kernel with a task running on every CPU. */
@@ -126,6 +64,50 @@ populate(Kernel &kernel, Task &task, unsigned cpus, VmSize size)
     return addr;
 }
 
+StormResult
+protectStorm(unsigned cpus, ShootdownMode mode, unsigned rounds)
+{
+    Task *task = nullptr;
+    auto kernel = bootOnCpus(cpus, true, task);
+    kernel->pmaps->policy.protect = mode;
+    VmSize size = 16 * kernel->pageSize();
+    VmOffset addr = populate(*kernel, *task, cpus, size);
+
+    std::uint64_t ipis0 = kernel->machine.ipiCount();
+    std::uint64_t deferred0 = kernel->pmaps->deferredFlushes;
+    std::uint64_t lazy0 = kernel->pmaps->lazySkips;
+    SimTime t0 = kernel->now();
+    for (unsigned r = 0; r < rounds; ++r) {
+        (void)vmProtect(*kernel->vm, task->map(), addr, size, false,
+                        VmProt::Read);
+        kernel->machine.timerTick();
+        (void)vmProtect(*kernel->vm, task->map(), addr, size, false,
+                        VmProt::Default);
+        kernel->machine.timerTick();
+    }
+    return {kernel->now() - t0, kernel->machine.ipiCount() - ipis0,
+            kernel->pmaps->deferredFlushes - deferred0,
+            kernel->pmaps->lazySkips - lazy0};
+}
+
+const char *
+modeName(ShootdownMode mode)
+{
+    switch (mode) {
+      case ShootdownMode::Immediate: return "immediate";
+      case ShootdownMode::Deferred: return "deferred";
+      case ShootdownMode::Lazy: return "lazy";
+    }
+    return "?";
+}
+
+/** Result of one batched-vs-unbatched measurement. */
+struct BatchResult
+{
+    SimTime time;
+    std::uint64_t ipis;
+};
+
 /** Fork a task whose @p size bytes are dirty on every CPU (the
  *  pmap_copy_on_write storm of Table 7-1's fork rows). */
 BatchResult
@@ -137,8 +119,7 @@ forkBench(unsigned cpus, VmSize size, bool batched)
 
     std::uint64_t ipis0 = kernel->machine.ipiCount();
     SimTime t0 = kernel->now();
-    Task *child = kernel->taskFork(*task);
-    (void)child;
+    (void)kernel->taskFork(*task);
     return {kernel->now() - t0, kernel->machine.ipiCount() - ipis0};
 }
 
@@ -168,94 +149,63 @@ deallocBench(unsigned cpus, VmSize size, bool batched)
 }
 
 } // namespace
-} // namespace mach
 
-int
-main(int argc, char **argv)
+void
+bench::shootdown(Report &report)
 {
-    using namespace mach;
-    setQuiet(true);
-    bench::Report report("bench_shootdown", argc, argv);
-
-    std::printf("Ablation D: TLB shootdown strategies "
-                "(section 5.2), Encore MultiMax\n");
-    std::printf("Protection storm on a 16-page region, 32 rounds:\n");
-    std::printf("%-6s %-11s %12s %8s %10s %8s\n", "cpus", "strategy",
-                "time", "IPIs", "deferred", "lazy");
+    report.table("Ablation D: protection storm on a 16-page region, "
+                 "32 rounds:",
+                 {{"cpus", -6}, {"strategy", -11}, {"time", 12},
+                  {"IPIs", 8}, {"deferred", 10}, {"lazy", 8}});
     for (unsigned cpus : {1u, 2u, 4u, 8u}) {
         for (auto mode : {ShootdownMode::Immediate,
                           ShootdownMode::Deferred,
                           ShootdownMode::Lazy}) {
             StormResult r = protectStorm(cpus, mode, 32);
-            std::printf("%-6u %-11s %12s %8llu %10llu %8llu\n", cpus,
-                        modeName(mode), bench::ms(r.time).c_str(),
-                        (unsigned long long)r.ipis,
-                        (unsigned long long)r.deferred,
-                        (unsigned long long)r.lazy);
             std::string tag = std::string("storm_") +
                               modeName(mode) + "_" +
                               std::to_string(cpus) + "cpu";
-            report.add("multimax", tag + "_time", double(r.time),
-                       "ns");
-            report.add("multimax", tag + "_ipis", double(r.ipis),
-                       "count");
-            report.add("multimax", tag + "_deferred",
-                       double(r.deferred), "count");
-            report.add("multimax", tag + "_lazy", double(r.lazy),
-                       "count");
+            report.row("multimax",
+                       {std::to_string(cpus), modeName(mode),
+                        ns(tag + "_time", r.time),
+                        count(tag + "_ipis", r.ipis),
+                        count(tag + "_deferred", r.deferred),
+                        count(tag + "_lazy", r.lazy)});
         }
     }
-    std::printf("\nImmediate scales its IPI cost with the CPU count "
+    report.note("Immediate scales its IPI cost with the CPU count "
                 "(case 1);\ndeferred batches the flush into the next "
                 "clock interrupt (case 2);\nlazy spends nothing but "
                 "tolerates windows of stale TLB entries\n(case 3 — "
                 "acceptable only when the operation's semantics "
-                "allow it).\n");
+                "allow it).");
 
-    std::printf("\nAblation G: batched (coalesced) vs unbatched "
-                "shootdowns, Encore MultiMax\n");
-    std::printf("%-16s %-6s %12s %8s %12s %8s\n", "operation", "cpus",
-                "unbatched", "IPIs", "batched", "IPIs");
-    for (unsigned cpus : {1u, 2u, 4u}) {
-        BatchResult un = forkBench(cpus, 256 * 1024, false);
-        BatchResult ba = forkBench(cpus, 256 * 1024, true);
-        std::printf("%-16s %-6u %12s %8llu %12s %8llu\n", "fork 256K",
-                    cpus, bench::ms(un.time).c_str(),
-                    (unsigned long long)un.ipis,
-                    bench::ms(ba.time).c_str(),
-                    (unsigned long long)ba.ipis);
-        std::string tag = "fork_256k_" + std::to_string(cpus) + "cpu";
-        report.add("multimax", tag + "_unbatched_time",
-                   double(un.time), "ns");
-        report.add("multimax", tag + "_unbatched_ipis",
-                   double(un.ipis), "count");
-        report.add("multimax", tag + "_batched_time", double(ba.time),
-                   "ns");
-        report.add("multimax", tag + "_batched_ipis", double(ba.ipis),
-                   "count");
-    }
-    for (unsigned cpus : {1u, 2u, 4u}) {
-        BatchResult un = deallocBench(cpus, 1024 * 1024, false);
-        BatchResult ba = deallocBench(cpus, 1024 * 1024, true);
-        std::printf("%-16s %-6u %12s %8llu %12s %8llu\n",
-                    "deallocate 1M", cpus, bench::ms(un.time).c_str(),
-                    (unsigned long long)un.ipis,
-                    bench::ms(ba.time).c_str(),
-                    (unsigned long long)ba.ipis);
-        std::string tag = "dealloc_1m_" + std::to_string(cpus) +
-                          "cpu";
-        report.add("multimax", tag + "_unbatched_time",
-                   double(un.time), "ns");
-        report.add("multimax", tag + "_unbatched_ipis",
-                   double(un.ipis), "count");
-        report.add("multimax", tag + "_batched_time", double(ba.time),
-                   "ns");
-        report.add("multimax", tag + "_batched_ipis", double(ba.ipis),
-                   "count");
-    }
-    std::printf("\nBatched mode accumulates the per-page shootdowns "
+    report.table("Ablation G: batched (coalesced) vs unbatched "
+                 "shootdowns:",
+                 {{"operation", -16}, {"cpus", -6}, {"unbatched", 12},
+                  {"IPIs", 8}, {"batched", 12}, {"IPIs", 8}});
+    auto compare = [&](const char *label, const std::string &op,
+                       unsigned cpus,
+                       BatchResult (*run)(unsigned, VmSize, bool),
+                       VmSize size) {
+        BatchResult un = run(cpus, size, false);
+        BatchResult ba = run(cpus, size, true);
+        std::string tag = op + "_" + std::to_string(cpus) + "cpu";
+        report.row("multimax",
+                   {label, std::to_string(cpus),
+                    ns(tag + "_unbatched_time", un.time),
+                    count(tag + "_unbatched_ipis", un.ipis),
+                    ns(tag + "_batched_time", ba.time),
+                    count(tag + "_batched_ipis", ba.ipis)});
+    };
+    for (unsigned cpus : {1u, 2u, 4u})
+        compare("fork 256K", "fork_256k", cpus, forkBench, 256 << 10);
+    for (unsigned cpus : {1u, 2u, 4u})
+        compare("deallocate 1M", "dealloc_1m", cpus, deallocBench, 1 << 20);
+    report.note("Batched mode accumulates the per-page shootdowns "
                 "of one VM operation\nand closes with a single merged "
                 "flush round: at most one IPI per\ntarget CPU per "
-                "operation, instead of one per page.\n");
-    return report.finish();
+                "operation, instead of one per page.");
 }
+
+} // namespace mach

@@ -16,7 +16,6 @@
 
 #include "base/logging.hh"
 #include "bench_report.hh"
-#include "bench_util.hh"
 #include "kern/kernel.hh"
 #include "unix/unix_vm.hh"
 #include "vm/vm_object.hh"
@@ -26,8 +25,7 @@ namespace mach
 namespace
 {
 
-using bench::ms;
-using bench::sec;
+using namespace bench;
 
 /** Time to first-touch (zero fill) 1KB of fresh memory. */
 SimTime
@@ -67,7 +65,7 @@ unixZeroFill1K(const MachineSpec &spec)
 
 /** Time to fork a task with 256KB of dirty memory. */
 SimTime
-machFork256K(const MachineSpec &spec, bench::Report *report = nullptr)
+machFork256K(const MachineSpec &spec, Report *report)
 {
     Kernel kernel(spec);
     // `--trace-out`: capture this workload's event stream (the last
@@ -170,100 +168,80 @@ unixRead(const MachineSpec &spec, VmSize size)
     return t;
 }
 
-std::string
-sysElapsed(SimTime system, SimTime elapsed)
+/** Printed as "system/elapsed" seconds; records elapsed ns. */
+Cell
+sysElapsed(std::string metric, SimTime system, SimTime elapsed)
 {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.1f/%.1fs", double(system) / 1e9,
-                  double(elapsed) / 1e9);
-    return buf;
+    return {format("%.1f/", system / 1e9) + sec(elapsed),
+            std::move(metric), double(elapsed), "ns"};
 }
 
 } // namespace
-} // namespace mach
 
-int
-main(int argc, char **argv)
+void
+bench::table7_1(Report &report)
 {
-    using namespace mach;
-    setQuiet(true);
-    bench::Report report("bench_table7_1", argc, argv);
+    report.table("(simulated time; paper values alongside)",
+                 {{"operation", -28}, {"Mach", 10}, {"UNIX", 10},
+                  {"paper Mach", 11}, {"paper UNIX", 11}});
 
-    std::printf("Table 7-1: Performance of Mach VM Operations\n");
-    std::printf("(simulated time; paper values alongside)\n");
-    bench::rowHeader();
-
-    struct ZfMachine
+    struct PaperMachine
     {
-        const char *label;
+        const char *name;
         const char *arch;
         MachineSpec spec;
-        const char *paperMach, *paperUnix;
+        const char *paper[4];  //!< zero fill Mach/UNIX, fork Mach/UNIX
     };
-    const ZfMachine zf[] = {
-        {"zero fill 1K (RT PC)", "rt_pc", MachineSpec::rtPc(),
-         "0.45ms", "0.58ms"},
-        {"zero fill 1K (uVAX II)", "uvax2", MachineSpec::microVax2(),
-         "0.58ms", "1.20ms"},
-        {"zero fill 1K (SUN 3/160)", "sun3_160",
-         MachineSpec::sun3_160(), "0.23ms", "0.27ms"},
+    const PaperMachine machines[] = {
+        {"RT PC", "rt_pc", MachineSpec::rtPc(),
+         {"0.45ms", "0.58ms", "41ms", "145ms"}},
+        {"uVAX II", "uvax2", MachineSpec::microVax2(),
+         {"0.58ms", "1.20ms", "59ms", "220ms"}},
+        {"SUN 3/160", "sun3_160", MachineSpec::sun3_160(),
+         {"0.23ms", "0.27ms", "68ms", "89ms"}},
     };
-    for (const ZfMachine &m : zf) {
-        SimTime mach_t = machZeroFill1K(m.spec);
-        SimTime unix_t = unixZeroFill1K(m.spec);
-        bench::row(m.label, ms(mach_t), ms(unix_t), m.paperMach,
-                   m.paperUnix);
-        report.add(m.arch, "mach_zero_fill_1k", double(mach_t), "ns");
-        report.add(m.arch, "unix_zero_fill_1k", double(unix_t), "ns");
+    for (const PaperMachine &m : machines) {
+        report.row(m.arch,
+                   {std::string("zero fill 1K (") + m.name + ")",
+                    ns("mach_zero_fill_1k", machZeroFill1K(m.spec)),
+                    ns("unix_zero_fill_1k", unixZeroFill1K(m.spec)),
+                    m.paper[0], m.paper[1]});
     }
-
-    const ZfMachine fk[] = {
-        {"fork 256K (RT PC)", "rt_pc", MachineSpec::rtPc(), "41ms",
-         "145ms"},
-        {"fork 256K (uVAX II)", "uvax2", MachineSpec::microVax2(),
-         "59ms", "220ms"},
-        {"fork 256K (SUN 3/160)", "sun3_160", MachineSpec::sun3_160(),
-         "68ms", "89ms"},
-    };
-    for (const ZfMachine &m : fk) {
-        SimTime mach_t = machFork256K(m.spec, &report);
-        SimTime unix_t = unixFork256K(m.spec);
-        bench::row(m.label, ms(mach_t), ms(unix_t), m.paperMach,
-                   m.paperUnix);
-        report.add(m.arch, "mach_fork_256k", double(mach_t), "ns");
-        report.add(m.arch, "unix_fork_256k", double(unix_t), "ns");
+    for (const PaperMachine &m : machines) {
+        report.row(m.arch,
+                   {std::string("fork 256K (") + m.name + ")",
+                    ns("mach_fork_256k", machFork256K(m.spec, &report)),
+                    ns("unix_fork_256k", unixFork256K(m.spec)),
+                    m.paper[2], m.paper[3]});
     }
 
     // File reread on a VAX 8200 (system/elapsed seconds).
-    auto readRows = [&](const char *size_tag, VmSize size,
-                        const char *paper_first_m,
-                        const char *paper_first_u,
-                        const char *paper_second_m,
-                        const char *paper_second_u) {
+    auto readRows = [&](const std::string &size_tag, VmSize size,
+                        const char *const (&paper)[4]) {
         ReadTimes m = machRead(MachineSpec::vax8200(), size);
         ReadTimes u = unixRead(MachineSpec::vax8200(), size);
-        std::string label = std::string("read ") + size_tag + " file";
-        bench::row(label + ", first",
-                   sysElapsed(m.firstSystem, m.firstElapsed),
-                   sysElapsed(u.firstSystem, u.firstElapsed),
-                   paper_first_m, paper_first_u);
-        bench::row(label + ", second",
-                   sysElapsed(m.secondSystem, m.secondElapsed),
-                   sysElapsed(u.secondSystem, u.secondElapsed),
-                   paper_second_m, paper_second_u);
-        std::string base = std::string("read_") + size_tag;
-        report.add("vax8200", "mach_" + base + "_first_elapsed",
-                   double(m.firstElapsed), "ns");
-        report.add("vax8200", "mach_" + base + "_second_elapsed",
-                   double(m.secondElapsed), "ns");
-        report.add("vax8200", "unix_" + base + "_first_elapsed",
-                   double(u.firstElapsed), "ns");
-        report.add("vax8200", "unix_" + base + "_second_elapsed",
-                   double(u.secondElapsed), "ns");
+        std::string label = "read " + size_tag + " file";
+        std::string mach_base = "mach_read_" + size_tag;
+        std::string unix_base = "unix_read_" + size_tag;
+        report.row("vax8200",
+                   {label + ", first",
+                    sysElapsed(mach_base + "_first_elapsed", m.firstSystem,
+                               m.firstElapsed),
+                    sysElapsed(unix_base + "_first_elapsed", u.firstSystem,
+                               u.firstElapsed),
+                    paper[0], paper[1]});
+        report.row("vax8200",
+                   {label + ", second",
+                    sysElapsed(mach_base + "_second_elapsed", m.secondSystem,
+                               m.secondElapsed),
+                    sysElapsed(unix_base + "_second_elapsed",
+                               u.secondSystem, u.secondElapsed),
+                    paper[2], paper[3]});
     };
-    readRows("2.5M", 2500 << 10, "5.2/11s", "5.0/11s", "1.2/1.4s",
-             "5.0/11s");
-    readRows("50K", 50 << 10, "0.2/0.5s", "0.2/0.5s", "0.1/0.1s",
-             "0.2/0.2s");
-    return report.finish();
+    readRows("2.5M", 2500 << 10, {"5.2/11s", "5.0/11s", "1.2/1.4s",
+                                  "5.0/11s"});
+    readRows("50K", 50 << 10, {"0.2/0.5s", "0.2/0.5s", "0.1/0.1s",
+                               "0.2/0.2s"});
 }
+
+} // namespace mach

@@ -23,7 +23,6 @@
 
 #include "base/logging.hh"
 #include "bench_report.hh"
-#include "bench_util.hh"
 #include "kern/kernel.hh"
 #include "unix/unix_vm.hh"
 #include "vm/vm_object.hh"
@@ -32,6 +31,8 @@ namespace mach
 {
 namespace
 {
+
+using namespace bench;
 
 /** Parameters for one synthetic compilation. */
 struct CompileJob
@@ -237,79 +238,45 @@ unixCompile(const MachineSpec &spec, const Workload &wl,
 }
 
 } // namespace
-} // namespace mach
 
-int
-main(int argc, char **argv)
+void
+bench::table7_2(Report &report)
 {
-    using namespace mach;
-    setQuiet(true);
-    bench::Report report("bench_table7_2", argc, argv);
-
-    std::printf("Table 7-2: Overall Compilation Performance: "
-                "Mach vs. 4.3bsd\n");
-
+    // Mach and UNIX run the same workload under each configuration:
+    // mach_cache_kb 0 is an unlimited object cache; buffers sizes
+    // the UNIX buffer cache.
+    auto compile = [&](const char *arch, const MachineSpec &spec,
+                       const Workload &wl, const char *tag,
+                       std::size_t mach_cache_kb, unsigned buffers,
+                       std::string (*fmt)(SimTime),
+                       const char *paper_mach, const char *paper_unix) {
+        report.row(arch, {wl.name,
+                          ns(std::string("mach_") + tag,
+                             machCompile(spec, wl, mach_cache_kb), fmt),
+                          ns(std::string("unix_") + tag,
+                             unixCompile(spec, wl, buffers), fmt),
+                          paper_mach, paper_unix});
+    };
+    const std::vector<Column> columns = {
+        {"workload", -28}, {"Mach", 10}, {"UNIX", 10},
+        {"paper Mach", 11}, {"paper UNIX", 11}};
     MachineSpec vax = MachineSpec::vax8650();
 
-    bench::header("VAX 8650: 400 buffers");
-    bench::rowHeader();
-    {
-        Workload wl = smallPrograms();
-        SimTime m = machCompile(vax, wl, 400);
-        SimTime u = unixCompile(vax, wl, 400);
-        bench::row(wl.name, bench::sec(m), bench::sec(u), "23s",
-                   "28s");
-        report.add("vax8650", "mach_13_programs_400buf", double(m),
-                   "ns");
-        report.add("vax8650", "unix_13_programs_400buf", double(u),
-                   "ns");
-        wl = kernelBuild();
-        m = machCompile(vax, wl, 400);
-        u = unixCompile(vax, wl, 400);
-        bench::row(wl.name, bench::minSec(m), bench::minSec(u),
-                   "19:58", "23:38");
-        report.add("vax8650", "mach_kernel_build_400buf", double(m),
-                   "ns");
-        report.add("vax8650", "unix_kernel_build_400buf", double(u),
-                   "ns");
-    }
+    report.table("VAX 8650: 400 buffers", columns);
+    compile("vax8650", vax, smallPrograms(), "13_programs_400buf", 400,
+            400, sec, "23s", "28s");
+    compile("vax8650", vax, kernelBuild(), "kernel_build_400buf", 400,
+            400, minSec, "19:58", "23:38");
 
-    bench::header("VAX 8650: Generic configuration");
-    bench::rowHeader();
-    {
-        Workload wl = smallPrograms();
-        SimTime m = machCompile(vax, wl, 0);
-        SimTime u = unixCompile(vax, wl, 120);
-        bench::row(wl.name, bench::sec(m), bench::sec(u), "19s",
-                   "1:16min");
-        report.add("vax8650", "mach_13_programs_generic", double(m),
-                   "ns");
-        report.add("vax8650", "unix_13_programs_generic", double(u),
-                   "ns");
-        wl = kernelBuild();
-        m = machCompile(vax, wl, 0);
-        u = unixCompile(vax, wl, 120);
-        bench::row(wl.name, bench::minSec(m), bench::minSec(u),
-                   "15:50", "34:10");
-        report.add("vax8650", "mach_kernel_build_generic", double(m),
-                   "ns");
-        report.add("vax8650", "unix_kernel_build_generic", double(u),
-                   "ns");
-    }
+    report.table("VAX 8650: Generic configuration", columns);
+    compile("vax8650", vax, smallPrograms(), "13_programs_generic", 0,
+            120, sec, "19s", "1:16min");
+    compile("vax8650", vax, kernelBuild(), "kernel_build_generic", 0,
+            120, minSec, "15:50", "34:10");
 
-    bench::header("SUN 3/160 (vs SunOS 3.2)");
-    bench::rowHeader();
-    {
-        MachineSpec sun = MachineSpec::sun3_160();
-        Workload wl = sunForkTest();
-        SimTime m = machCompile(sun, wl, 0);
-        SimTime u = unixCompile(sun, wl, 120);
-        bench::row("compile fork test program", bench::sec(m),
-                   bench::sec(u), "3s", "6s");
-        report.add("sun3_160", "mach_fork_test_generic", double(m),
-                   "ns");
-        report.add("sun3_160", "unix_fork_test_generic", double(u),
-                   "ns");
-    }
-    return report.finish();
+    report.table("SUN 3/160 (vs SunOS 3.2)", columns);
+    compile("sun3_160", MachineSpec::sun3_160(), sunForkTest(),
+            "fork_test_generic", 0, 120, sec, "3s", "6s");
 }
+
+} // namespace mach

@@ -116,5 +116,6 @@ main()
     std::printf("All differences above live in one pmap module per "
                 "machine\n(src/pmap/<arch>_pmap.cc); no "
                 "machine-independent line changed.\n");
+    std::printf("done.\n");
     return 0;
 }

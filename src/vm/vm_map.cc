@@ -184,7 +184,8 @@ VmMap::allocateObject(VmOffset *addr, VmSize size, bool anywhere,
                       VmObject *object, VmOffset offset, bool needs_copy,
                       VmProt prot, VmProt max_prot, VmInherit inherit)
 {
-    if (size == 0)
+    // A size within a page of 2^64 rounds to a wrapped 0.
+    if (size == 0 || sys.pageRound(size) < size)
         return KernReturn::InvalidArgument;
     size = sys.pageRound(size);
 
@@ -198,8 +199,9 @@ VmMap::allocateObject(VmOffset *addr, VmSize size, bool anywhere,
         // Regions must be aligned on page boundaries (section 2.1).
         if (start % sys.pageSize() != 0)
             return KernReturn::InvalidArgument;
-        if (start < minAddr || start + size > maxAddr)
-            return KernReturn::InvalidAddress;
+        if (KernReturn kr = checkRange(start, size);
+            kr != KernReturn::Success)
+            return kr;
         if (!rangeFree(start, size))
             return KernReturn::NoSpace;
     }

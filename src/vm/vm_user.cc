@@ -198,6 +198,9 @@ vmWire(VmSys &sys, VmMap &map, VmOffset address, VmSize size,
        bool wire)
 {
     chargeSyscall(sys);
+    if (KernReturn kr = map.checkRange(address, size);
+        kr != KernReturn::Success)
+        return kr;
     if (wire)
         return sys.wireRange(map, address, address + size);
     return map.setPageable(address, size, true);

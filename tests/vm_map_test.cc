@@ -585,5 +585,37 @@ TEST_F(VmMapRangeTest, ReadWithWrappingSizeIsRefused)
     EXPECT_TRUE(data.empty());
 }
 
+TEST_F(VmMapRangeTest, FixedAllocateWithWrappingSizeIsRefused)
+{
+    // 2^64 - 11 used to round to 0 and insert an empty entry.
+    VmOffset at = 64 * page;
+    EXPECT_EQ(map->allocate(&at, ~VmSize(0) - 10, false),
+              KernReturn::InvalidArgument);
+    EXPECT_EQ(map->entryCount(), 1u);
+    EXPECT_EQ(map->virtualSize(), 4 * page);
+}
+
+TEST_F(VmMapRangeTest, AnywhereAllocateWithWrappingSizeIsRefused)
+{
+    VmOffset at = 0;
+    EXPECT_EQ(map->allocate(&at, ~VmSize(0) - 10, true),
+              KernReturn::InvalidArgument);
+    EXPECT_EQ(map->entryCount(), 1u);
+    // The next allocation must not land on a phantom entry.
+    VmOffset next = 0;
+    ASSERT_EQ(map->allocate(&next, 4 * page, true), KernReturn::Success);
+    EXPECT_EQ(map->entryCount(), 2u);
+    EXPECT_EQ(map->virtualSize(), 8 * page);
+}
+
+TEST_F(VmMapRangeTest, WireWithWrappingSizeIsRefused)
+{
+    EXPECT_EQ(vmWire(*vm, *map, addr, wrap, true),
+              KernReturn::InvalidArgument);
+    VmMap::LookupResult lr;
+    ASSERT_EQ(map->lookup(addr, FaultType::Read, lr), KernReturn::Success);
+    EXPECT_FALSE(lr.wired);
+}
+
 } // namespace
 } // namespace mach

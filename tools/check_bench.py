@@ -16,9 +16,9 @@ Tolerances are driven by the record's unit:
           perturbation
   ratio   same relative tolerance as ns
 
-Units in EXEMPT_UNITS (host-measured values such as ``host_rate``)
-are excluded from the gate entirely: they are informational, never
-compared, and never counted as new or missing.
+Every baseline benchmark must appear in the results: a benchmark
+machvm_bench stops emitting fails the gate instead of dropping out of
+it.
 
 Usage:
     check_bench.py --baseline-dir bench/baselines results/*.json
@@ -35,10 +35,6 @@ import os
 import sys
 
 REL_TOL = 0.02
-
-# Units whose values depend on the host (wall-clock rates), not on the
-# deterministic simulation: reported for information, never gated.
-EXEMPT_UNITS = {"host_rate"}
 
 def key(rec):
     return (rec["benchmark"], rec["arch"], rec["metric"])
@@ -62,11 +58,6 @@ def load_dir(dirname):
         for rec in load_records(os.path.join(dirname, name)):
             records[key(rec)] = rec
     return records
-
-def gated(records):
-    """The subset of a key->record dict the gate actually compares."""
-    return {k: r for k, r in records.items()
-            if r.get("unit") not in EXEMPT_UNITS}
 
 def set_mismatch_report(baseline, results, bench):
     """Describe the metric-set difference for one benchmark.
@@ -94,15 +85,12 @@ def set_mismatch_report(baseline, results, bench):
 
 def compare(baseline, results, rel_tol):
     """Return a list of human-readable failure strings."""
-    baseline = gated(baseline)
-    results = gated(results)
     failures = []
-    mismatched_benches = []
+    mismatched_benches = set()
     for k, rec in sorted(results.items()):
         base = baseline.get(k)
         if base is None:
-            if k[0] not in mismatched_benches:
-                mismatched_benches.append(k[0])
+            mismatched_benches.add(k[0])
             continue
         got, want, unit = rec["value"], base["value"], rec["unit"]
         if unit != base["unit"]:
@@ -121,13 +109,14 @@ def compare(baseline, results, rel_tol):
         if not ok:
             failures.append(f"DRIFT {'/'.join(k)}: {detail}")
 
+    mismatched_benches |= {k[0] for k in baseline if k not in results}
     covered = {k[0] for k in results}
-    for k in sorted(baseline):
-        if (k[0] in covered and k not in results
-                and k[0] not in mismatched_benches):
-            mismatched_benches.append(k[0])
-
-    for bench in mismatched_benches:
+    for bench in sorted(mismatched_benches):
+        if bench not in covered:
+            n = sum(1 for k in baseline if k[0] == bench)
+            failures.append(f"MISSING BENCHMARK {bench}: no records in "
+                            f"the results ({n} baseline metrics)")
+            continue
         failures.append(f"METRIC SET MISMATCH for {bench}:")
         failures += set_mismatch_report(baseline, results, bench)
     return failures
@@ -173,17 +162,14 @@ def main(argv=None):
             results[key(rec)] = rec
 
     failures = compare(baseline, results, args.rel_tol)
-    n = len(gated(results))
-    exempt = len(results) - n
-    suffix = f", {exempt} exempt" if exempt else ""
     if failures:
         print(f"check_bench: {len(failures)} failure(s) "
-              f"across {n} gated metrics{suffix}:")
+              f"across {len(results)} gated metrics:")
         for f in failures:
             print(f"  {f}")
         return 1
-    print(f"check_bench: all {n} gated metrics within tolerance "
-          f"({len(gated(baseline))} baseline entries{suffix})")
+    print(f"check_bench: all {len(results)} gated metrics within "
+          f"tolerance ({len(baseline)} baseline entries)")
     return 0
 
 if __name__ == "__main__":
