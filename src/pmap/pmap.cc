@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 
+#include "sim/metrics.hh"
 #include "sim/trace.hh"
 
 #include "pmap/pv_table.hh"
@@ -69,7 +70,7 @@ Pmap::enter(VmOffset va, PhysAddr pa, VmProt prot, bool wired)
     traceEmit(clock, TraceEventType::PmapEnter, wired ? 1 : 0, va, pa);
     SimTime t0 = clock.now();
     enterImpl(va, pa, prot, wired);
-    traceLatency(clock, TraceLatencyKind::PmapOp, clock.now() - t0);
+    metricRecord(clock, metric::pmapOpNs, clock.now() - t0);
 }
 
 void
@@ -83,7 +84,7 @@ Pmap::remove(VmOffset start, VmOffset end)
     traceEmit(clock, TraceEventType::PmapRemove, 0, start, end);
     SimTime t0 = clock.now();
     removeImpl(start, end);
-    traceLatency(clock, TraceLatencyKind::PmapOp, clock.now() - t0);
+    metricRecord(clock, metric::pmapOpNs, clock.now() - t0);
 }
 
 void
@@ -98,7 +99,7 @@ Pmap::protect(VmOffset start, VmOffset end, VmProt prot)
               static_cast<std::uint8_t>(prot), start, end);
     SimTime t0 = clock.now();
     protectImpl(start, end, prot);
-    traceLatency(clock, TraceLatencyKind::PmapOp, clock.now() - t0);
+    metricRecord(clock, metric::pmapOpNs, clock.now() - t0);
 }
 
 void
@@ -237,7 +238,7 @@ PmapSystem::removeAll(PhysAddr pa, ShootdownMode mode)
               static_cast<std::uint8_t>(mode), pa, 0);
     SimTime t0 = clock.now();
     removeAllImpl(pa, mode);
-    traceLatency(clock, TraceLatencyKind::PmapOp, clock.now() - t0);
+    metricRecord(clock, metric::pmapOpNs, clock.now() - t0);
 }
 
 void
@@ -254,7 +255,7 @@ PmapSystem::copyOnWrite(PhysAddr pa, ShootdownMode mode)
               static_cast<std::uint8_t>(mode), pa, 0);
     SimTime t0 = clock.now();
     copyOnWriteImpl(pa, mode);
-    traceLatency(clock, TraceLatencyKind::PmapOp, clock.now() - t0);
+    metricRecord(clock, metric::pmapOpNs, clock.now() - t0);
 }
 
 void
@@ -430,7 +431,8 @@ PmapSystem::dispatchFlush(const std::bitset<kMaxCpus> &targets,
     // Every IPI of the round carries the same round id so the trace
     // analyzer can recover the fan-out of each dispatch.
     FlushCmd flushCpu{ranges, hwPageSize(), machine.spec.hwPageShift};
-    SimTime t0 = machine.clock().now();
+    SimClock &clock = machine.clock();
+    SimTime t0 = clock.now();
     const std::uint64_t round = ++shootdownRoundSeq;
     unsigned remote = 0;
     for (unsigned i = 0; i < machine.numCpus(); ++i) {
@@ -443,14 +445,16 @@ PmapSystem::dispatchFlush(const std::bitset<kMaxCpus> &targets,
             if (batched)
                 ++batchedIpis;
             ++remote;
-            traceEmit(machine.clock(), TraceEventType::Ipi, 0, i,
-                      round);
+            traceEmit(clock, TraceEventType::Ipi, 0, i, round);
             machine.ipi(i, flushCpu);
         }
     }
-    SimTime waited = machine.clock().now() - t0;
-    traceLatency(machine.clock(), TraceLatencyKind::Shootdown, waited);
-    noteShootdownRound(remote, waited);
+    if (MetricsRegistry *reg = clock.metricsRegistry()) {
+        CpuId cpu = clock.traceCpu();
+        reg->add(metric::shootdownRounds, 1, cpu);
+        reg->add(metric::shootdownRemoteTargets, remote, cpu);
+        reg->record(metric::shootdownWaitNs, clock.now() - t0, cpu);
+    }
 }
 
 void
@@ -468,43 +472,6 @@ PmapSystem::runTickFlushes()
     }
     tickFlushes.clear();
     tickRanges.clear();
-}
-
-void
-PmapSystem::noteShootdownRound(unsigned remote_targets, SimTime wait_ns)
-{
-    if constexpr (kTraceCompiled) {
-        MetricsRegistry *reg = machine.clock().metricsRegistry();
-        if (!reg)
-            return;
-        if (shootMetrics.reg != reg) {
-            // First round under this registry: resolve the shard
-            // arrays once; emission then bypasses registry dispatch.
-            shootMetrics.rounds =
-                reg->counterSlots(reg->counter("tlb.shootdown_rounds"));
-            shootMetrics.remoteTargets = reg->counterSlots(
-                reg->counter("tlb.shootdown_remote_targets"));
-            shootMetrics.waitNs = reg->histogramShards(
-                reg->histogram("tlb.shootdown_wait_ns"));
-            shootMetrics.nShards = reg->numCpus();
-            shootMetrics.reg = reg;
-        }
-        CpuId cpu = machine.clock().traceCpu();
-        unsigned s = cpu < shootMetrics.nShards ? cpu : 0;
-        // Single-threaded simulator: relaxed load+store, not a locked
-        // read-modify-write — this runs once per shootdown round.
-        auto &rounds = shootMetrics.rounds[s].v;
-        rounds.store(rounds.load(std::memory_order_relaxed) + 1,
-                     std::memory_order_relaxed);
-        auto &remotes = shootMetrics.remoteTargets[s].v;
-        remotes.store(remotes.load(std::memory_order_relaxed) +
-                          remote_targets,
-                      std::memory_order_relaxed);
-        shootMetrics.waitNs[s].record(wait_ns);
-    } else {
-        (void)remote_targets;
-        (void)wait_ns;
-    }
 }
 
 void

@@ -36,7 +36,6 @@
 #include "base/types.hh"
 #include "hw/machine.hh"
 #include "hw/translation.hh"
-#include "sim/metrics.hh"
 
 namespace mach
 {
@@ -442,26 +441,6 @@ class PmapSystem
 
     /** True when pvView shows no mappings for the page at @p pa. */
     bool pvQuiet(PhysAddr pa) const;
-
-    /**
-     * Shootdown contention metrics, registered lazily against
-     * whatever registry the clock carries so the pmap layer needs no
-     * boot-order coupling with VmSys.  The raw shard arrays are
-     * cached (not just the ids) so the per-round emission is two
-     * relaxed adds and a histogram record with no registry dispatch.
-     */
-    struct ShootdownMetrics
-    {
-        MetricsRegistry *reg = nullptr; //!< registry the shards belong to
-        MetricsRegistry::Slot *rounds = nullptr;
-        MetricsRegistry::Slot *remoteTargets = nullptr;
-        LatencyHistogram *waitNs = nullptr;
-        unsigned nShards = 1; //!< registry CPU count (clamp bound)
-    };
-    ShootdownMetrics shootMetrics;
-
-    /** Record one immediate-mode round into the attached registry. */
-    void noteShootdownRound(unsigned remote_targets, SimTime wait_ns);
 
     /**
      * One pending shootdown request of an open batch, or several

@@ -7,9 +7,55 @@
 namespace mach
 {
 
+SimTime
+LatencyHistogram::quantile(double p) const
+{
+    if (count_ == 0)
+        return 0;
+    if (p > 1.0)
+        p = 1.0;
+    std::uint64_t target =
+        static_cast<std::uint64_t>(p * double(count_) + 0.5);
+    if (target == 0)
+        target = 1;
+    std::uint64_t seen = 0;
+    for (unsigned i = 0; i < kBuckets; ++i) {
+        seen += buckets_[i];
+        if (seen >= target) {
+            SimTime hi = bucketUpperBound(i);
+            return hi > max_ ? max_ : hi;
+        }
+    }
+    return max_;
+}
+
+void
+LatencyHistogram::merge(const LatencyHistogram &other)
+{
+    if (other.count_ == 0)
+        return;
+    for (unsigned i = 0; i < kBuckets; ++i)
+        buckets_[i] += other.buckets_[i];
+    if (count_ == 0 || other.min_ < min_)
+        min_ = other.min_;
+    if (other.max_ > max_)
+        max_ = other.max_;
+    count_ += other.count_;
+    sum_ += other.sum_;
+}
+
 MetricsRegistry::MetricsRegistry(unsigned ncpus_)
     : ncpus(ncpus_ ? ncpus_ : 1)
 {
+    // Registration order gives the fixed ids of namespace metric.
+    histogram("latency.fault_ns");
+    histogram("latency.pageout_ns");
+    histogram("latency.pmap_op_ns");
+    histogram("latency.disk_ns");
+    histogram("tlb.shootdown_wait_ns");
+    counter("tlb.shootdown_rounds");
+    counter("tlb.shootdown_remote_targets");
+    MACH_ASSERT(defs.size() == metric::kNumBuiltins);
 }
 
 MetricId
@@ -44,12 +90,6 @@ MetricsRegistry::counter(const std::string &name)
 }
 
 MetricId
-MetricsRegistry::gauge(const std::string &name)
-{
-    return registerMetric(name, MetricKind::Gauge, nullptr);
-}
-
-MetricId
 MetricsRegistry::histogram(const std::string &name)
 {
     return registerMetric(name, MetricKind::Histogram, nullptr);
@@ -68,29 +108,15 @@ MetricsRegistry::add(MetricId id, std::uint64_t delta, CpuId cpu)
 {
     if (!id.valid())
         return;
-    Def &def = defs[id.index];
-    MACH_ASSERT(def.kind == MetricKind::Counter && !def.bound);
+    // Only owned counters have slots (not histograms or bound
+    // metrics), so the null check is also the kind check.
+    Slot *slots = defs[id.index].slots.get();
+    MACH_ASSERT(slots != nullptr);
     // The simulator is single-threaded: a relaxed load+store bumps
     // the shard without the locked read-modify-write an RMW atomic
     // would cost on the fault hot path.
-    Slot &slot = def.slots[cpu < ncpus ? cpu : 0];
+    Slot &slot = slots[cpu < ncpus ? cpu : 0];
     slot.v.store(slot.v.load(std::memory_order_relaxed) + delta,
-                 std::memory_order_relaxed);
-}
-
-void
-MetricsRegistry::addGauge(MetricId id, std::int64_t delta, CpuId cpu)
-{
-    if (!id.valid())
-        return;
-    Def &def = defs[id.index];
-    MACH_ASSERT(def.kind == MetricKind::Gauge);
-    // Two's-complement wraparound makes the summed shards correct
-    // even when one shard goes transiently "negative" (a page wired
-    // on CPU 0 and unwired on CPU 2).
-    Slot &slot = def.slots[cpu < ncpus ? cpu : 0];
-    slot.v.store(slot.v.load(std::memory_order_relaxed) +
-                     static_cast<std::uint64_t>(delta),
                  std::memory_order_relaxed);
 }
 
@@ -99,29 +125,9 @@ MetricsRegistry::record(MetricId id, SimTime ns, CpuId cpu)
 {
     if (!id.valid())
         return;
-    Def &def = defs[id.index];
-    MACH_ASSERT(def.kind == MetricKind::Histogram);
-    def.hists[cpu < ncpus ? cpu : 0].record(ns);
-}
-
-MetricsRegistry::Slot *
-MetricsRegistry::counterSlots(MetricId id)
-{
-    if (!id.valid())
-        return nullptr;
-    Def &def = defs[id.index];
-    MACH_ASSERT(def.kind != MetricKind::Histogram && !def.bound);
-    return def.slots.get();
-}
-
-LatencyHistogram *
-MetricsRegistry::histogramShards(MetricId id)
-{
-    if (!id.valid())
-        return nullptr;
-    Def &def = defs[id.index];
-    MACH_ASSERT(def.kind == MetricKind::Histogram);
-    return def.hists.get();
+    LatencyHistogram *hists = defs[id.index].hists.get();
+    MACH_ASSERT(hists != nullptr); // only histograms have shards
+    hists[cpu < ncpus ? cpu : 0].record(ns);
 }
 
 std::uint64_t
@@ -136,12 +142,6 @@ MetricsRegistry::value(MetricId id) const
     for (unsigned c = 0; c < ncpus; ++c)
         sum += def.slots[c].v.load(std::memory_order_relaxed);
     return sum;
-}
-
-std::int64_t
-MetricsRegistry::gaugeValue(MetricId id) const
-{
-    return static_cast<std::int64_t>(value(id));
 }
 
 LatencyHistogram
@@ -175,9 +175,6 @@ MetricsRegistry::snapshot() const
           case MetricKind::Counter:
             snap.counters.emplace_back(def.name, value(id));
             break;
-          case MetricKind::Gauge:
-            snap.gauges.emplace_back(def.name, gaugeValue(id));
-            break;
           case MetricKind::Histogram:
             snap.histograms.emplace_back(def.name, histogramValue(id));
             break;
@@ -187,7 +184,6 @@ MetricsRegistry::snapshot() const
         return a.first < b.first;
     };
     std::sort(snap.counters.begin(), snap.counters.end(), byFirst);
-    std::sort(snap.gauges.begin(), snap.gauges.end(), byFirst);
     std::sort(snap.histograms.begin(), snap.histograms.end(), byFirst);
     return snap;
 }
@@ -200,22 +196,6 @@ MetricsRegistry::Snapshot::counterValue(const std::string &name) const
             return v;
     }
     return 0;
-}
-
-void
-MetricsRegistry::reset()
-{
-    for (Def &def : defs) {
-        if (def.bound)
-            continue;
-        if (def.kind == MetricKind::Histogram) {
-            for (unsigned c = 0; c < ncpus; ++c)
-                def.hists[c].reset();
-        } else {
-            for (unsigned c = 0; c < ncpus; ++c)
-                def.slots[c].v.store(0, std::memory_order_relaxed);
-        }
-    }
 }
 
 } // namespace mach

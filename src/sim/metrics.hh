@@ -1,26 +1,30 @@
 /**
  * @file
- * The VM metrics registry (the introspection layer's counter plane).
+ * The VM metrics registry: the one owner of every counter and
+ * histogram the simulator reports.
  *
- * A MetricsRegistry holds named counters, gauges and log2 latency
+ * A MetricsRegistry holds named counters and log2 latency
  * histograms.  Metrics come in two tiers:
  *
  *  - *bound* metrics wrap external storage (the paper-mandated
  *    vm_statistics counters in VmSys::stats keep their direct
- *    `++stats.x` form — zero overhead, present in every build) and
- *    are exposed by name through snapshot();
+ *    `++stats.x` form at zero overhead) and are exposed by name
+ *    through snapshot();
  *  - *owned* metrics are allocated by the registry with one
  *    cache-line-padded relaxed-atomic slot per CPU, so the future
  *    host-threaded parallel kernel can increment them without
  *    contention; snapshot() merges the shards.
  *
- * Cost discipline mirrors src/sim/trace.hh: the registry rides on the
- * SimClock next to the trace sink, every emit helper first tests that
- * pointer (one predictable branch + one relaxed increment when a
- * registry is attached), metrics never charge simulated time, and
- * building with -DMACHVM_TRACE=OFF compiles the emit helpers out of
- * the hot paths entirely (tools/check_notrace.py verifies that at the
- * symbol level).
+ * The registry registers its built-in metrics (namespace metric
+ * below) at fixed ids in its constructor, so their emit sites index
+ * them directly.  The four per-operation latency histograms are
+ * sampled only while a trace sink (src/sim/trace.hh) is attached;
+ * the shootdown metrics whenever the registry is attached.
+ *
+ * Cost discipline: the registry rides on the SimClock next to the
+ * trace sink, every emit helper first tests that pointer (one
+ * predictable branch plus one relaxed increment when a registry is
+ * attached), and metrics never charge simulated time.
  *
  * The same header defines VmAccounting, the per-task / per-object
  * attribution record maintained at the vm_fault / vm_pageout emit
@@ -32,6 +36,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -49,8 +54,73 @@ namespace mach
 enum class MetricKind : std::uint8_t
 {
     Counter = 0, //!< monotonically increasing event count
-    Gauge,       //!< signed level (resident pages, queue depth)
     Histogram,   //!< log2-bucketed latency distribution
+};
+
+/**
+ * A log2-bucketed histogram of simulated nanoseconds.  Cheap enough
+ * to update per event; rich enough for benchmarks to report counts,
+ * totals and approximate quantiles.
+ */
+class LatencyHistogram
+{
+  public:
+    /** Bucket i holds samples with bit_width(ns) == i (0 = zero). */
+    static constexpr unsigned kBuckets = 48;
+
+    void
+    record(SimTime ns)
+    {
+        unsigned b = bucketOf(ns);
+        ++buckets_[b];
+        ++count_;
+        sum_ += ns;
+        if (count_ == 1 || ns < min_)
+            min_ = ns;
+        if (ns > max_)
+            max_ = ns;
+    }
+
+    std::uint64_t count() const { return count_; }
+    SimTime total() const { return sum_; }
+    SimTime min() const { return count_ ? min_ : 0; }
+    SimTime max() const { return max_; }
+    SimTime mean() const { return count_ ? sum_ / count_ : 0; }
+    std::uint64_t bucketCount(unsigned i) const { return buckets_[i]; }
+
+    /** Inclusive upper bound of bucket @p i (its samples are ≤ it). */
+    static SimTime
+    bucketUpperBound(unsigned i)
+    {
+        if (i == 0)
+            return 0;
+        if (i >= 64)
+            return ~SimTime(0);
+        return (SimTime(1) << i) - 1;
+    }
+
+    /**
+     * Approximate quantile: the upper bound of the first bucket at
+     * which the cumulative count reaches @p p * count (0 < p <= 1).
+     */
+    SimTime quantile(double p) const;
+
+    void merge(const LatencyHistogram &other);
+    void reset() { *this = LatencyHistogram{}; }
+
+  private:
+    static unsigned
+    bucketOf(SimTime ns)
+    {
+        unsigned w = std::bit_width(std::uint64_t(ns));
+        return w < kBuckets ? w : kBuckets - 1;
+    }
+
+    std::array<std::uint64_t, kBuckets> buckets_{};
+    std::uint64_t count_ = 0;
+    SimTime sum_ = 0;
+    SimTime min_ = 0;
+    SimTime max_ = 0;
 };
 
 /** Opaque handle to a registered metric (index into the registry). */
@@ -62,9 +132,28 @@ struct MetricId
 };
 
 /**
+ * The built-in metrics every registry registers in its constructor,
+ * at these fixed ids.
+ */
+namespace metric
+{
+inline constexpr MetricId faultNs{0};    //!< latency.fault_ns
+inline constexpr MetricId pageoutNs{1};  //!< latency.pageout_ns
+inline constexpr MetricId pmapOpNs{2};   //!< latency.pmap_op_ns
+inline constexpr MetricId diskNs{3};     //!< latency.disk_ns
+/** tlb.shootdown_wait_ns: one sample per immediate round. */
+inline constexpr MetricId shootdownWaitNs{4};
+/** tlb.shootdown_rounds: immediate dispatch rounds. */
+inline constexpr MetricId shootdownRounds{5};
+/** tlb.shootdown_remote_targets: IPIs summed over those rounds. */
+inline constexpr MetricId shootdownRemoteTargets{6};
+inline constexpr unsigned kNumBuiltins = 7;
+} // namespace metric
+
+/**
  * Attribution record for one task (via its VmMap) or one VmObject:
  * where that task's faults went, what I/O it caused.  Updated by the
- * inline helpers below (compiled out with the trace layer), read by
+ * inline helpers below while a registry is attached, read by
  * vmTaskInfo / the introspection tests.
  */
 struct VmAccounting
@@ -126,6 +215,7 @@ class MetricsRegistry
         std::atomic<std::uint64_t> v{0};
     };
 
+    /** Registers the built-ins of namespace metric. */
     explicit MetricsRegistry(unsigned ncpus = 1);
 
     MetricsRegistry(const MetricsRegistry &) = delete;
@@ -133,7 +223,6 @@ class MetricsRegistry
 
     /** @name Registration (find-or-create by name) @{ */
     MetricId counter(const std::string &name);
-    MetricId gauge(const std::string &name);
     MetricId histogram(const std::string &name);
 
     /**
@@ -146,25 +235,12 @@ class MetricsRegistry
 
     /** @name Emission (hot; relaxed, sharded) @{ */
     void add(MetricId id, std::uint64_t delta, CpuId cpu);
-    void addGauge(MetricId id, std::int64_t delta, CpuId cpu);
     void record(MetricId id, SimTime ns, CpuId cpu);
-
-    /**
-     * Raw shard arrays (numCpus() entries) of an owned metric, for
-     * call sites hot enough that even the id-indexed add() dispatch
-     * shows up.  The arrays are stable for the registry's lifetime
-     * (later registrations never move them); callers clamp the CPU
-     * index to numCpus() themselves, as add() does.
-     */
-    Slot *counterSlots(MetricId id);
-    LatencyHistogram *histogramShards(MetricId id);
     /** @} */
 
     /** @name Snapshot / query (cold; merges shards) @{ */
     /** Merged value of a counter or bound metric. */
     std::uint64_t value(MetricId id) const;
-    /** Merged (summed-shard) value of a gauge. */
-    std::int64_t gaugeValue(MetricId id) const;
     /** Merged histogram. */
     LatencyHistogram histogramValue(MetricId id) const;
 
@@ -172,8 +248,6 @@ class MetricsRegistry
     {
         /** name -> merged value, counters and bound metrics. */
         std::vector<std::pair<std::string, std::uint64_t>> counters;
-        /** name -> merged level. */
-        std::vector<std::pair<std::string, std::int64_t>> gauges;
         /** name -> merged distribution. */
         std::vector<std::pair<std::string, LatencyHistogram>> histograms;
 
@@ -187,9 +261,6 @@ class MetricsRegistry
     MetricId find(const std::string &name) const;
     std::size_t size() const { return defs.size(); }
     unsigned numCpus() const { return ncpus; }
-
-    /** Zero every owned metric (bound storage is not touched). */
-    void reset();
     /** @} */
 
   private:
@@ -213,62 +284,39 @@ class MetricsRegistry
 /**
  * @name Emit helpers
  *
- * The per-call-site cost: nothing at all under MACHVM_TRACE=OFF; one
- * branch on the clock's registry pointer otherwise.  CPU attribution
- * reuses the clock's mirrored current CPU (see SimClock::traceCpu).
+ * The per-call-site cost: one branch on the clock's registry pointer.
+ * CPU attribution reuses the clock's mirrored current CPU (see
+ * SimClock::traceCpu).
  * @{
  */
-
-/** Is a registry attached (and compiled in)?  One branch when not. */
-inline bool
-metricsActive(const SimClock &clock)
-{
-    if constexpr (!kTraceCompiled)
-        return false;
-    else
-        return clock.metricsRegistry() != nullptr;
-}
 
 /** Bump a counter by @p delta. */
 inline void
 metricAdd(SimClock &clock, MetricId id, std::uint64_t delta = 1)
 {
-    if constexpr (kTraceCompiled) {
-        if (MetricsRegistry *m = clock.metricsRegistry())
-            m->add(id, delta, clock.traceCpu());
-    } else {
-        (void)clock;
-        (void)id;
-        (void)delta;
-    }
+    if (MetricsRegistry *m = clock.metricsRegistry())
+        m->add(id, delta, clock.traceCpu());
 }
 
-/** Move a gauge by @p delta (may be negative). */
-inline void
-metricGauge(SimClock &clock, MetricId id, std::int64_t delta)
-{
-    if constexpr (kTraceCompiled) {
-        if (MetricsRegistry *m = clock.metricsRegistry())
-            m->addGauge(id, delta, clock.traceCpu());
-    } else {
-        (void)clock;
-        (void)id;
-        (void)delta;
-    }
-}
-
-/** Record a latency sample into a registered histogram. */
+/** Record a sample into a registered histogram. */
 inline void
 metricRecord(SimClock &clock, MetricId id, SimTime ns)
 {
-    if constexpr (kTraceCompiled) {
-        if (MetricsRegistry *m = clock.metricsRegistry())
-            m->record(id, ns, clock.traceCpu());
-    } else {
-        (void)clock;
-        (void)id;
-        (void)ns;
-    }
+    if (MetricsRegistry *m = clock.metricsRegistry())
+        m->record(id, ns, clock.traceCpu());
+}
+
+/**
+ * Record an operation latency (metric::faultNs, pageoutNs, pmapOpNs
+ * or diskNs), but only while a trace sink is attached: sampling them
+ * on every operation cost 4-5% of perfbench's host throughput
+ * (EXPERIMENTS.md section L), so tracing is what switches them on.
+ */
+inline void
+metricLatency(SimClock &clock, MetricId id, SimTime ns)
+{
+    if (clock.traceSink())
+        metricRecord(clock, id, ns);
 }
 
 /**
@@ -279,27 +327,16 @@ metricRecord(SimClock &clock, MetricId id, SimTime ns)
 inline void
 acctFault(SimClock &clock, VmAccounting *acct, TraceFaultKind kind)
 {
-    if constexpr (kTraceCompiled) {
-        if (acct && clock.metricsRegistry())
-            ++acct->faultsByKind[static_cast<unsigned>(kind)];
-    } else {
-        (void)clock;
-        (void)acct;
-        (void)kind;
-    }
+    if (acct && clock.metricsRegistry())
+        ++acct->faultsByKind[static_cast<unsigned>(kind)];
 }
 
 /** Attribute one laundered page to its owning object's record. */
 inline void
 acctPageout(SimClock &clock, VmAccounting *acct)
 {
-    if constexpr (kTraceCompiled) {
-        if (acct && clock.metricsRegistry())
-            ++acct->pageouts;
-    } else {
-        (void)clock;
-        (void)acct;
-    }
+    if (acct && clock.metricsRegistry())
+        ++acct->pageouts;
 }
 
 /** @} */

@@ -4,6 +4,7 @@
 
 #include "base/logging.hh"
 #include "sim/fault_inject.hh"
+#include "sim/metrics.hh"
 #include "sim/trace.hh"
 
 namespace mach
@@ -40,7 +41,7 @@ SimDisk::injectionFor(bool is_write, std::uint64_t offset,
         SimTime cost = costs.diskCost(len);
         clock.charge(CostKind::Disk, cost);
         ++errors;
-        traceLatency(clock, TraceLatencyKind::Disk, cost);
+        metricLatency(clock, metric::diskNs, cost);
         traceEmit(clock, TraceEventType::IoError,
                   static_cast<std::uint8_t>(pr), offset,
                   static_cast<std::uint64_t>(
@@ -61,7 +62,7 @@ SimDisk::read(std::uint64_t offset, void *buf, std::uint64_t len)
     clock.charge(CostKind::Disk, cost);
     ++reads;
     bytes += len;
-    traceLatency(clock, TraceLatencyKind::Disk, cost);
+    metricLatency(clock, metric::diskNs, cost);
     traceEmit(clock, TraceEventType::DiskRead, 0, offset, len);
     return PagerResult::Ok;
 }
@@ -78,7 +79,7 @@ SimDisk::write(std::uint64_t offset, const void *buf, std::uint64_t len)
     clock.charge(CostKind::Disk, cost);
     ++writes;
     bytes += len;
-    traceLatency(clock, TraceLatencyKind::Disk, cost);
+    metricLatency(clock, metric::diskNs, cost);
     traceEmit(clock, TraceEventType::DiskWrite, 0, offset, len);
     return PagerResult::Ok;
 }
@@ -96,7 +97,7 @@ SimDisk::writeAsync(std::uint64_t offset, const void *buf,
     clock.charge(CostKind::Disk, cost);
     ++writes;
     bytes += len;
-    traceLatency(clock, TraceLatencyKind::Disk, cost);
+    metricLatency(clock, metric::diskNs, cost);
     traceEmit(clock, TraceEventType::DiskWrite, 1, offset, len);
     return PagerResult::Ok;
 }

@@ -50,57 +50,6 @@ traceFaultKindName(TraceFaultKind kind)
     return "?";
 }
 
-const char *
-traceLatencyKindName(TraceLatencyKind kind)
-{
-    switch (kind) {
-      case TraceLatencyKind::Fault: return "fault";
-      case TraceLatencyKind::Pageout: return "pageout";
-      case TraceLatencyKind::PmapOp: return "pmap_op";
-      case TraceLatencyKind::Shootdown: return "shootdown";
-      case TraceLatencyKind::Disk: return "disk";
-      case TraceLatencyKind::NumKinds: break;
-    }
-    return "?";
-}
-
-SimTime
-LatencyHistogram::quantile(double p) const
-{
-    if (count_ == 0)
-        return 0;
-    if (p > 1.0)
-        p = 1.0;
-    std::uint64_t target =
-        static_cast<std::uint64_t>(p * double(count_) + 0.5);
-    if (target == 0)
-        target = 1;
-    std::uint64_t seen = 0;
-    for (unsigned i = 0; i < kBuckets; ++i) {
-        seen += buckets_[i];
-        if (seen >= target) {
-            SimTime hi = bucketUpperBound(i);
-            return hi > max_ ? max_ : hi;
-        }
-    }
-    return max_;
-}
-
-void
-LatencyHistogram::merge(const LatencyHistogram &other)
-{
-    if (other.count_ == 0)
-        return;
-    for (unsigned i = 0; i < kBuckets; ++i)
-        buckets_[i] += other.buckets_[i];
-    if (count_ == 0 || other.min_ < min_)
-        min_ = other.min_;
-    if (other.max_ > max_)
-        max_ = other.max_;
-    count_ += other.count_;
-    sum_ += other.sum_;
-}
-
 TraceSink::TraceSink(std::size_t capacity) : ring(capacity)
 {
     MACH_ASSERT(capacity > 0);
@@ -111,8 +60,6 @@ TraceSink::reset()
 {
     next = 0;
     total_ = 0;
-    for (auto &h : hists)
-        h.reset();
 }
 
 } // namespace mach

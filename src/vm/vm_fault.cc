@@ -35,13 +35,13 @@ VmSys::fault(VmMap &map, VmOffset va, FaultType type, VmPage **out_page)
 
     VmOffset page_va = pageTrunc(va);
 
-    // One hoisted test covers every emission below: with no sink and
-    // no registry attached (the common benchmark configuration), the
-    // whole introspection block is a single predicted-not-taken
-    // branch instead of five scattered pointer tests.
+    // One hoisted test covers every emission below.  VmSys attaches
+    // its registry at construction, so this is true unless the
+    // registry was detached (setIntrospectionEnabled(false)) and no
+    // sink is attached; then the whole block is one branch.
     const bool introspecting =
-        kTraceCompiled && (machine.clock().traceSink() != nullptr ||
-                           machine.clock().metricsRegistry() != nullptr);
+        machine.clock().traceSink() != nullptr ||
+        machine.clock().metricsRegistry() != nullptr;
 
     if (introspecting) {
         traceEmit(machine.clock(), TraceEventType::FaultBegin,
@@ -53,8 +53,8 @@ VmSys::fault(VmMap &map, VmOffset va, FaultType type, VmPage **out_page)
     auto faultDone = [&]() {
         if (!introspecting)
             return;
-        traceLatency(machine.clock(), TraceLatencyKind::Fault,
-                     faultWatch.elapsed());
+        metricLatency(machine.clock(), metric::faultNs,
+                      faultWatch.elapsed());
         traceEmit(machine.clock(), TraceEventType::FaultEnd,
                   static_cast<std::uint8_t>(resolution), page_va,
                   faultWatch.elapsed(),
@@ -405,8 +405,8 @@ VmSys::objectPage(VmObject *object, VmOffset offset, bool for_write,
                 // and report the error to the caller.
                 freePage(page);
                 ++stats.pageinFailures;
-                traceLatency(machine.clock(), TraceLatencyKind::Fault,
-                             watch.elapsed());
+                metricLatency(machine.clock(), metric::faultNs,
+                              watch.elapsed());
                 traceEmit(machine.clock(), TraceEventType::FaultEnd,
                           static_cast<std::uint8_t>(
                               TraceFaultKind::Error),
@@ -422,8 +422,8 @@ VmSys::objectPage(VmObject *object, VmOffset offset, bool for_write,
             pmaps.zeroPage(page->physAddr);
             ++stats.zeroFillCount;
         }
-        traceLatency(machine.clock(), TraceLatencyKind::Fault,
-                     watch.elapsed());
+        metricLatency(machine.clock(), metric::faultNs,
+                      watch.elapsed());
         traceEmit(machine.clock(), TraceEventType::FaultEnd,
                   static_cast<std::uint8_t>(
                       provided ? TraceFaultKind::Pagein

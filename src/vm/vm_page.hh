@@ -31,7 +31,7 @@
 #include "base/types.hh"
 #include "base/zone.hh"
 #include "hw/machine.hh"
-#include "sim/trace.hh"
+#include "sim/metrics.hh"
 
 namespace mach
 {
@@ -118,9 +118,10 @@ struct VmStatistics
     /**
      * @name Per-operation latency histograms (simulated ns)
      *
-     * Derived from the trace layer: populated only while a TraceSink
-     * is attached to the machine's clock (src/sim/trace.hh); empty
-     * otherwise.
+     * Copied from the metrics registry's built-in histograms
+     * (src/sim/metrics.hh).  The shootdown waits are sampled whenever
+     * the registry is attached; the other four only while a
+     * TraceSink is attached to the machine's clock.
      * @{
      */
     LatencyHistogram faultLatency;     //!< vm_fault entry→resolution

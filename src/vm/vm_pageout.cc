@@ -163,8 +163,8 @@ VmSys::pageOut(VmPage *page)
         // will try again.
         page->dirty = true;
         resident.activate(page);
-        traceLatency(machine.clock(), TraceLatencyKind::Pageout,
-                     watch.elapsed());
+        metricLatency(machine.clock(), metric::pageoutNs,
+                      watch.elapsed());
         return;
     }
 
@@ -173,8 +173,7 @@ VmSys::pageOut(VmPage *page)
     page->dirty = false;
     freePage(page);
 
-    traceLatency(machine.clock(), TraceLatencyKind::Pageout,
-                 watch.elapsed());
+    metricLatency(machine.clock(), metric::pageoutNs, watch.elapsed());
     traceEmit(machine.clock(), TraceEventType::Pageout, 0, pa,
               watch.elapsed(), object->id);
 }

@@ -177,14 +177,11 @@ VmSys::statistics() const
     st.batchedIpis = pmaps.batchedIpis;
     st.batchRangesMerged = pmaps.batchRangesMerged;
     st.batchFlushes = pmaps.batchFlushes;
-    if (const TraceSink *sink = machine.clock().traceSink()) {
-        st.faultLatency = sink->histogram(TraceLatencyKind::Fault);
-        st.pageoutLatency = sink->histogram(TraceLatencyKind::Pageout);
-        st.pmapOpLatency = sink->histogram(TraceLatencyKind::PmapOp);
-        st.shootdownLatency =
-            sink->histogram(TraceLatencyKind::Shootdown);
-        st.diskLatency = sink->histogram(TraceLatencyKind::Disk);
-    }
+    st.faultLatency = metrics.histogramValue(metric::faultNs);
+    st.pageoutLatency = metrics.histogramValue(metric::pageoutNs);
+    st.pmapOpLatency = metrics.histogramValue(metric::pmapOpNs);
+    st.shootdownLatency = metrics.histogramValue(metric::shootdownWaitNs);
+    st.diskLatency = metrics.histogramValue(metric::diskNs);
     return st;
 }
 

@@ -7,6 +7,10 @@
  * machine-independent structure (VmObject, VmMap) holds a reference
  * to its VmSys; the only machine-dependent state it touches is
  * reached through the PmapSystem interface.
+ *
+ * VmSys also owns the metrics registry: every counter and histogram
+ * the VM and pmap layers report, and the vm_statistics snapshot of
+ * Table 2-1, is read from that one registry.
  */
 
 #ifndef MACH_VM_VM_SYS_HH
@@ -70,21 +74,21 @@ class VmSys
      * The ad-hoc counters of vm_statistics (Table 2-1).  Every field
      * is registered with the metrics registry below at construction
      * (as a *bound* metric, so the hot `++stats.x` form keeps its
-     * zero cost and keeps working with tracing compiled out), which
-     * makes statistics() a view over the registry's snapshot.
+     * zero cost), which makes statistics() a view over the registry.
      */
     VmStatistics stats;
 
     /**
      * @name Introspection (src/sim/metrics.hh)
      *
-     * The registry holds every named VM metric: the bound
+     * The registry owns every named VM metric: the bound
      * VmStatistics counters above, the pageout-daemon internals
      * (wakeups, pages scanned/reclaimed/laundered per pass) and the
-     * pmap layer's shootdown contention metrics.  It is attached to
-     * the machine's clock at construction; detaching (or building
-     * with MACHVM_TRACE=OFF) turns all owned-metric and per-task /
-     * per-object accounting emission into a single dead branch.
+     * built-ins — the pmap layer's shootdown contention metrics and
+     * the latency histograms statistics() reports.  It is attached
+     * to the machine's clock at construction; detaching it turns all
+     * owned-metric and per-task / per-object accounting emission into
+     * a single dead branch.
      * @{
      */
     MetricsRegistry metrics;

@@ -304,8 +304,7 @@ TEST_F(FaultInjectKernel, MappedFileFaultReportsErrorToThread)
               KernReturn::Success);
 
     TraceSink sink;
-    if (kTraceCompiled)
-        kernel->machine.clock().setTraceSink(&sink);
+    kernel->machine.clock().setTraceSink(&sink);
 
     FaultPlan plan = transientReadPlan(5);
     plan.permanentFraction = 1.0;
@@ -318,22 +317,19 @@ TEST_F(FaultInjectKernel, MappedFileFaultReportsErrorToThread)
               KernReturn::MemoryError);
     EXPECT_GT(kernel->vm->stats.pageinFailures, 0u);
 
-    if (kTraceCompiled) {
-        kernel->machine.clock().setTraceSink(nullptr);
-        bool saw_io_error = false, saw_fault_error = false;
-        for (std::size_t i = 0; i < sink.size(); ++i) {
-            const TraceRecord &r = sink.at(i);
-            if (r.type == TraceEventType::IoError)
-                saw_io_error = true;
-            if (r.type == TraceEventType::FaultEnd &&
-                r.detail ==
-                    static_cast<std::uint8_t>(TraceFaultKind::Error)) {
-                saw_fault_error = true;
-            }
+    kernel->machine.clock().setTraceSink(nullptr);
+    bool saw_io_error = false, saw_fault_error = false;
+    for (std::size_t i = 0; i < sink.size(); ++i) {
+        const TraceRecord &r = sink.at(i);
+        if (r.type == TraceEventType::IoError)
+            saw_io_error = true;
+        if (r.type == TraceEventType::FaultEnd &&
+            r.detail == static_cast<std::uint8_t>(TraceFaultKind::Error)) {
+            saw_fault_error = true;
         }
-        EXPECT_TRUE(saw_io_error);
-        EXPECT_TRUE(saw_fault_error);
     }
+    EXPECT_TRUE(saw_io_error);
+    EXPECT_TRUE(saw_fault_error);
 
     // The mapping itself is intact; disabling injection makes the
     // same access succeed.

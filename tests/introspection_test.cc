@@ -29,9 +29,6 @@ class IntrospectionTest : public ::testing::Test
     void
     SetUp() override
     {
-        if (!kTraceCompiled)
-            GTEST_SKIP()
-                << "introspection compiled out (MACHVM_TRACE=OFF)";
         spec = test::tinySpec(ArchType::Vax, 4);
         kernel = std::make_unique<Kernel>(spec);
         page = kernel->pageSize();

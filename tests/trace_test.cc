@@ -1,13 +1,16 @@
 /**
  * @file
- * The VM event tracing layer (src/sim/trace.hh): histogram math,
- * ring-buffer wraparound accounting, attach/detach semantics, event
- * ordering, and the event sequence of a copy-on-write fault.
+ * The VM event tracing layer (src/sim/trace.hh): ring-buffer
+ * wraparound accounting, attach/detach semantics, event ordering, the
+ * event sequence of a copy-on-write fault, which registry histograms
+ * an attached sink switches on, and that attaching one leaves every
+ * simulated result unchanged.
  */
 
 #include <gtest/gtest.h>
 
 #include "kern/kernel.hh"
+#include "sim/metrics.hh"
 #include "sim/trace.hh"
 #include "test_util.hh"
 #include "vm/vm_user.hh"
@@ -16,64 +19,6 @@ namespace mach
 {
 namespace
 {
-
-TEST(LatencyHistogramTest, CountsTotalsAndExtremes)
-{
-    LatencyHistogram h;
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.min(), 0u);
-    EXPECT_EQ(h.max(), 0u);
-    EXPECT_EQ(h.mean(), 0u);
-
-    h.record(100);
-    h.record(300);
-    h.record(200);
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_EQ(h.total(), 600u);
-    EXPECT_EQ(h.min(), 100u);
-    EXPECT_EQ(h.max(), 300u);
-    EXPECT_EQ(h.mean(), 200u);
-}
-
-TEST(LatencyHistogramTest, BucketsAreLog2)
-{
-    LatencyHistogram h;
-    h.record(0);    // bucket 0
-    h.record(1);    // bucket 1
-    h.record(5);    // bucket 3: bit_width(5) == 3
-    h.record(1024); // bucket 11
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(3), 1u);
-    EXPECT_EQ(h.bucketCount(11), 1u);
-    EXPECT_EQ(LatencyHistogram::bucketUpperBound(0), 0u);
-    EXPECT_EQ(LatencyHistogram::bucketUpperBound(3), 7u);
-    EXPECT_EQ(LatencyHistogram::bucketUpperBound(11), 2047u);
-}
-
-TEST(LatencyHistogramTest, QuantileMergeAndReset)
-{
-    LatencyHistogram h;
-    for (int i = 0; i < 90; ++i)
-        h.record(4);       // bucket 3, upper bound 7
-    for (int i = 0; i < 10; ++i)
-        h.record(1000);    // bucket 10, upper bound 1023
-    EXPECT_EQ(h.quantile(0.5), 7u);
-    // The p99 bucket's upper bound (1023) is clamped to the max seen.
-    EXPECT_EQ(h.quantile(0.99), 1000u);
-
-    LatencyHistogram other;
-    other.record(1u << 20);
-    h.merge(other);
-    EXPECT_EQ(h.count(), 101u);
-    EXPECT_EQ(h.max(), 1u << 20);
-    EXPECT_EQ(h.min(), 4u);
-
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.total(), 0u);
-    EXPECT_EQ(h.quantile(0.5), 0u);
-}
 
 TEST(TraceSinkTest, RingWraparoundIsLossyButCounted)
 {
@@ -119,8 +64,6 @@ TEST(TraceSinkTest, EventNamesAreStable)
     EXPECT_STREQ(traceEventName(TraceEventType::DiskWrite),
                  "disk_write");
     EXPECT_STREQ(traceFaultKindName(TraceFaultKind::Cow), "cow");
-    EXPECT_STREQ(traceLatencyKindName(TraceLatencyKind::Shootdown),
-                 "shootdown");
 }
 
 /** A kernel-driven workload: zero fill, fork, COW write, pageout. */
@@ -163,6 +106,13 @@ class TraceKernelTest : public ::testing::Test
                   KernReturn::Success);
     }
 
+    /** The registry's merged histogram for built-in @p id. */
+    LatencyHistogram
+    latency(MetricId id) const
+    {
+        return kernel->vm->metrics.histogramValue(id);
+    }
+
     MachineSpec spec;
     std::unique_ptr<Kernel> kernel;
     VmSize page = 0;
@@ -171,11 +121,11 @@ class TraceKernelTest : public ::testing::Test
 
 TEST_F(TraceKernelTest, DetachedSinkSeesNothing)
 {
-    // Never attached: a full workload emits no events and fills no
-    // histograms...
+    // Never attached: a full workload emits no events and samples
+    // no operation latencies...
     workload();
     EXPECT_EQ(sink.totalEmitted(), 0u);
-    EXPECT_EQ(sink.histogram(TraceLatencyKind::Fault).count(), 0u);
+    EXPECT_EQ(latency(metric::faultNs).count(), 0u);
 
     // ...and statistics() reports empty histograms.
     VmStatistics st = kernel->vm->statistics();
@@ -185,31 +135,80 @@ TEST_F(TraceKernelTest, DetachedSinkSeesNothing)
 
 TEST_F(TraceKernelTest, DetachStopsEmission)
 {
-    if (!kTraceCompiled)
-        GTEST_SKIP() << "tracing compiled out (MACHVM_TRACE=OFF)";
-
     kernel->machine.clock().setTraceSink(&sink);
     workload();
     std::uint64_t mid = sink.totalEmitted();
     EXPECT_GT(mid, 0u);
 
-    // statistics() folds the attached sink's histograms in.
+    // statistics() reports the registry's histograms, which the
+    // attached sink switched on.
     VmStatistics st = kernel->vm->statistics();
     EXPECT_GT(st.faultLatency.count(), 0u);
     EXPECT_GT(st.pmapOpLatency.count(), 0u);
-    EXPECT_EQ(st.faultLatency.count(),
-              sink.histogram(TraceLatencyKind::Fault).count());
+    EXPECT_EQ(st.faultLatency.count(), latency(metric::faultNs).count());
 
+    // Detached: no more events, and no more latency samples.
+    std::uint64_t faults = latency(metric::faultNs).count();
     kernel->machine.clock().setTraceSink(nullptr);
     workload();
     EXPECT_EQ(sink.totalEmitted(), mid);
+    EXPECT_EQ(latency(metric::faultNs).count(), faults);
+}
+
+TEST_F(TraceKernelTest, FaultLatencyCountMatchesFaultEndEvents)
+{
+    kernel->machine.clock().setTraceSink(&sink);
+    workload();
+    Task *child = kernel->taskFork(*task);
+    workload();
+    kernel->taskTerminate(child);
+    kernel->machine.clock().setTraceSink(nullptr);
+    ASSERT_EQ(sink.totalDropped(), 0u)
+        << "test workload must fit in the default ring";
+
+    std::uint64_t fault_ends = 0;
+    for (std::size_t i = 0; i < sink.size(); ++i) {
+        if (sink.at(i).type == TraceEventType::FaultEnd)
+            ++fault_ends;
+    }
+    EXPECT_GT(fault_ends, 0u);
+    EXPECT_EQ(latency(metric::faultNs).count(), fault_ends);
+}
+
+TEST(TraceRegistryTest, UntracedRunSamplesOnlyShootdowns)
+{
+    // A 4-CPU MultiMax with a task active on every CPU, so fork's
+    // write-protect and the COW copy run immediate shootdown rounds.
+    Kernel kernel(test::tinySpec(ArchType::Ns32082, 2, 4));
+    ASSERT_EQ(kernel.machine.clock().traceSink(), nullptr);
+    VmSize page = kernel.pageSize();
+    Task *task = kernel.taskCreate();
+    for (CpuId cpu = 0; cpu < 4; ++cpu)
+        kernel.switchTo(task, cpu);
+    VmOffset addr = 0;
+    ASSERT_EQ(task->map().allocate(&addr, 8 * page, true),
+              KernReturn::Success);
+    auto data = test::pattern(8 * page);
+    ASSERT_EQ(kernel.taskWrite(*task, addr, data.data(), data.size()),
+              KernReturn::Success);
+    Task *child = kernel.taskFork(*task);
+    ASSERT_EQ(kernel.taskWrite(*task, addr, data.data(), data.size()),
+              KernReturn::Success);
+    kernel.taskTerminate(child);
+
+    const MetricsRegistry &reg = kernel.vm->metrics;
+    for (MetricId id : {metric::faultNs, metric::pageoutNs,
+                        metric::pmapOpNs, metric::diskNs})
+        EXPECT_EQ(reg.histogramValue(id).count(), 0u) << id.index;
+    std::uint64_t rounds = reg.value(metric::shootdownRounds);
+    EXPECT_GT(rounds, 0u);
+    EXPECT_GT(kernel.vm->pmaps.shootdownIpis, 0u);
+    EXPECT_EQ(reg.histogramValue(metric::shootdownWaitNs).count(), rounds);
+    EXPECT_EQ(kernel.vm->statistics().shootdownLatency.count(), rounds);
 }
 
 TEST_F(TraceKernelTest, EventsOrderedBySimulatedTime)
 {
-    if (!kTraceCompiled)
-        GTEST_SKIP() << "tracing compiled out (MACHVM_TRACE=OFF)";
-
     kernel->machine.clock().setTraceSink(&sink);
     workload();
     Task *child = kernel->taskFork(*task);
@@ -231,9 +230,6 @@ TEST_F(TraceKernelTest, EventsOrderedBySimulatedTime)
 
 TEST_F(TraceKernelTest, CowFaultEventSequence)
 {
-    if (!kTraceCompiled)
-        GTEST_SKIP() << "tracing compiled out (MACHVM_TRACE=OFF)";
-
     // Build a writable page in the parent before tracing starts.
     VmOffset addr = 0;
     ASSERT_EQ(task->map().allocate(&addr, page, true),
@@ -294,15 +290,132 @@ TEST_F(TraceKernelTest, CowFaultEventSequence)
                  static_cast<int>(TraceFaultKind::Cow));
     ASSERT_LT(end, sink.size()) << "no FaultEnd with kind=cow";
 
-    // The resolution latency rides in arg1 and lands in the fault
-    // histogram.
+    // The resolution latency rides in arg1 and lands in the
+    // registry's fault histogram.
     EXPECT_GT(sink.at(end).arg1, 0u);
-    EXPECT_GT(sink.histogram(TraceLatencyKind::Fault).count(), 0u);
-    EXPECT_GT(sink.histogram(TraceLatencyKind::PmapOp).count(), 0u);
+    EXPECT_GT(latency(metric::faultNs).count(), 0u);
+    EXPECT_GT(latency(metric::pmapOpNs).count(), 0u);
 
     kernel->machine.clock().setTraceSink(nullptr);
     kernel->taskTerminate(child);
 }
+
+/**
+ * Attaching a sink must not change anything the simulation computes:
+ * the same script runs on two fresh kernels, one traced, and every
+ * simulated time, VM counter and shootdown counter must agree.  The
+ * MultiMax runs on 4 CPUs so shootdown rounds and IPIs happen.
+ */
+class TraceNeutralityTest : public ::testing::TestWithParam<ArchType>
+{
+  protected:
+    std::unique_ptr<Kernel>
+    makeKernel() const
+    {
+        unsigned cpus = GetParam() == ArchType::Ns32082 ? 4 : 1;
+        return std::make_unique<Kernel>(
+            test::tinySpec(GetParam(), 1, cpus));
+    }
+
+    /** Fork, COW writes, dealloc, then pageout pressure. */
+    static void
+    script(Kernel &kernel)
+    {
+        const VmSize page = kernel.pageSize();
+        const unsigned cpus = kernel.machine.numCpus();
+        Task *parent = kernel.taskCreate();
+        for (CpuId cpu = 0; cpu < cpus; ++cpu)
+            kernel.switchTo(parent, cpu);
+
+        VmSize size = 16 * page;
+        VmOffset addr = 0;
+        ASSERT_EQ(parent->map().allocate(&addr, size, true),
+                  KernReturn::Success);
+        auto data = test::pattern(size, 5);
+        ASSERT_EQ(kernel.taskWrite(*parent, addr, data.data(), size),
+                  KernReturn::Success);
+
+        Task *child = kernel.taskFork(*parent);
+        kernel.switchTo(child, cpus - 1);
+        auto other = test::pattern(size / 2, 6);
+        ASSERT_EQ(kernel.taskWrite(*child, addr, other.data(),
+                                   other.size()),
+                  KernReturn::Success);
+        kernel.switchTo(parent, 0);
+        ASSERT_EQ(kernel.taskWrite(*parent, addr + size / 2,
+                                   other.data(), other.size()),
+                  KernReturn::Success);
+        ASSERT_EQ(vmDeallocate(*kernel.vm, parent->map(), addr, size / 2),
+                  KernReturn::Success);
+
+        // Write more than physical memory holds, then read it back.
+        VmSize big = kernel.machine.spec.physMemBytes * 3 / 2;
+        VmOffset baddr = 0;
+        ASSERT_EQ(child->map().allocate(&baddr, big, true),
+                  KernReturn::Success);
+        auto fill = test::pattern(big, 7);
+        ASSERT_EQ(kernel.taskWrite(*child, baddr, fill.data(), big),
+                  KernReturn::Success);
+        std::vector<std::uint8_t> back(big);
+        ASSERT_EQ(kernel.taskRead(*child, baddr, back.data(), big),
+                  KernReturn::Success);
+        ASSERT_EQ(back, fill);
+        kernel.taskTerminate(child);
+    }
+};
+
+TEST_P(TraceNeutralityTest, SinkDoesNotChangeSimulatedResults)
+{
+    auto plain = makeKernel();
+    auto traced = makeKernel();
+    TraceSink sink(1 << 16);
+    traced->machine.clock().setTraceSink(&sink);
+    script(*plain);
+    script(*traced);
+    traced->machine.clock().setTraceSink(nullptr);
+    ASSERT_FALSE(HasFatalFailure());
+    EXPECT_GT(sink.totalEmitted(), 0u);
+
+    const SimClock &a = plain->machine.clock();
+    const SimClock &b = traced->machine.clock();
+    EXPECT_EQ(a.now(), b.now());
+    for (std::size_t k = 0; k < SimClock::numKinds; ++k)
+        EXPECT_EQ(a.kindTotal(CostKind(k)), b.kindTotal(CostKind(k)))
+            << "cost kind " << k;
+
+    // Every VmStatistics counter and every pmap shootdown counter
+    // (shootdownIpis ... batchFlushes, rounds, remote targets) is a
+    // registry counter; the queue counts are filled separately.
+    auto ca = plain->vm->metricsSnapshot().counters;
+    auto cb = traced->vm->metricsSnapshot().counters;
+    ASSERT_EQ(ca.size(), cb.size());
+    for (std::size_t i = 0; i < ca.size(); ++i) {
+        EXPECT_EQ(ca[i].first, cb[i].first);
+        EXPECT_EQ(ca[i].second, cb[i].second) << ca[i].first;
+    }
+    VmStatistics sa = plain->vm->statistics();
+    VmStatistics sb = traced->vm->statistics();
+    EXPECT_EQ(sa.freeCount, sb.freeCount);
+    EXPECT_EQ(sa.activeCount, sb.activeCount);
+    EXPECT_EQ(sa.inactiveCount, sb.inactiveCount);
+    EXPECT_EQ(sa.wireCount, sb.wireCount);
+    EXPECT_EQ(plain->machine.ipiCount(), traced->machine.ipiCount());
+
+    // The script exercised what it claims to.
+    EXPECT_GT(sa.cowFaults, 0u);
+    EXPECT_GT(sa.pageouts, 0u);
+    if (plain->machine.numCpus() > 1) {
+        EXPECT_GT(plain->vm->metrics.value(metric::shootdownRounds), 0u);
+        EXPECT_GT(sa.shootdownIpis, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllArchitectures, TraceNeutralityTest,
+    ::testing::ValuesIn(test::allArchs()),
+    [](const ::testing::TestParamInfo<ArchType> &info) {
+        return test::archLabel(info.param);
+    });
 
 } // namespace
 } // namespace mach
