@@ -16,10 +16,11 @@
  * either limit is a hard error, so the machine-independent layer's
  * allocation limits are what keep the system inside them.
  *
- * Shootdown coalescing (PmapBatch) is inherited unchanged from
- * LinearPmapSystem: this module's removeAll/copyOnWrite batch their
- * per-sharer flushes, which matters most here since the MultiMax and
- * Balance are the multiprocessor configurations of the evaluation.
+ * The physical-page operations and their shootdown coalescing
+ * (PmapBatch) are inherited unchanged through LinearPmapSystem from
+ * PvPmapSystem: removeAll/copyOnWrite batch their per-sharer flushes,
+ * which matters most here since the MultiMax and Balance are the
+ * multiprocessor configurations of the evaluation.
  */
 
 #ifndef MACH_PMAP_NS32082_PMAP_HH
@@ -47,16 +48,11 @@ class Ns32082Pmap final : public LinearPmap
                    bool wired) override;
 };
 
-/** The NS32082 pmap module. */
+/** The NS32082 pmap module (512-byte pages, 4-byte PTEs, as the VAX). */
 class Ns32082PmapSystem : public LinearPmapSystem
 {
   public:
-    explicit Ns32082PmapSystem(Machine &machine)
-        : LinearPmapSystem(machine)
-    {
-        // 512-byte pages, 4-byte PTEs.
-        setPtesPerTablePage(128);
-    }
+    using LinearPmapSystem::LinearPmapSystem;
 
   protected:
     std::unique_ptr<Pmap> allocatePmap(bool kernel) override

@@ -6,8 +6,6 @@
 #include "sim/metrics.hh"
 #include "sim/trace.hh"
 
-#include "pmap/pv_table.hh"
-
 #include "pmap/ns32082_pmap.hh"
 #include "pmap/rt_pmap.hh"
 #include "pmap/sun3_pmap.hh"
@@ -16,6 +14,31 @@
 
 namespace mach
 {
+
+namespace
+{
+
+/**
+ * Run one machine-independent pmap request: untraced, just @p impl;
+ * traced, emit its event first and record the simulated time @p impl
+ * took in the pmap-op latency histogram.
+ */
+template <typename Impl>
+inline void
+tracedOp(SimClock &clock, TraceEventType type, std::uint8_t detail,
+         std::uint64_t arg0, std::uint64_t arg1, Impl &&impl)
+{
+    if (!traceActive(clock)) {
+        impl();
+        return;
+    }
+    traceEmit(clock, type, detail, arg0, arg1);
+    SimTime t0 = clock.now();
+    impl();
+    metricRecord(clock, metric::pmapOpNs, clock.now() - t0);
+}
+
+} // namespace
 
 Pmap::Pmap(PmapSystem &sys, bool kernel) : sys(sys), isKernel(kernel)
 {
@@ -62,44 +85,28 @@ Pmap::update()
 void
 Pmap::enter(VmOffset va, PhysAddr pa, VmProt prot, bool wired)
 {
-    SimClock &clock = sys.getMachine().clock();
-    if (!traceActive(clock)) {
-        enterImpl(va, pa, prot, wired);
-        return;
-    }
-    traceEmit(clock, TraceEventType::PmapEnter, wired ? 1 : 0, va, pa);
-    SimTime t0 = clock.now();
-    enterImpl(va, pa, prot, wired);
-    metricRecord(clock, metric::pmapOpNs, clock.now() - t0);
+    tracedOp(sys.getMachine().clock(), TraceEventType::PmapEnter,
+             wired ? 1 : 0, va, pa,
+             [&] { enterImpl(va, pa, prot, wired); });
 }
 
 void
 Pmap::remove(VmOffset start, VmOffset end)
 {
-    SimClock &clock = sys.getMachine().clock();
-    if (!traceActive(clock)) {
-        removeImpl(start, end);
-        return;
-    }
-    traceEmit(clock, TraceEventType::PmapRemove, 0, start, end);
-    SimTime t0 = clock.now();
-    removeImpl(start, end);
-    metricRecord(clock, metric::pmapOpNs, clock.now() - t0);
+    tracedOp(sys.getMachine().clock(), TraceEventType::PmapRemove, 0,
+             start, end, [&] { removeImpl(start, end); });
 }
 
 void
 Pmap::protect(VmOffset start, VmOffset end, VmProt prot)
 {
-    SimClock &clock = sys.getMachine().clock();
-    if (!traceActive(clock)) {
-        protectImpl(start, end, prot);
-        return;
-    }
-    traceEmit(clock, TraceEventType::PmapProtect,
-              static_cast<std::uint8_t>(prot), start, end);
-    SimTime t0 = clock.now();
-    protectImpl(start, end, prot);
-    metricRecord(clock, metric::pmapOpNs, clock.now() - t0);
+    tracedOp(sys.getMachine().clock(), TraceEventType::PmapProtect,
+             static_cast<std::uint8_t>(prot), start, end, [&] {
+                 if (protEmpty(prot))
+                     removeImpl(start, end);
+                 else
+                     protectImpl(start, end, prot);
+             });
 }
 
 void
@@ -210,52 +217,20 @@ PmapSystem::isReferenced(PhysAddr pa)
     return false;
 }
 
-bool
-PmapSystem::pvQuiet(PhysAddr pa) const
-{
-    FrameNum first = pa >> machine.spec.hwPageShift;
-    for (FrameNum f = first; f < first + framesPerPage; ++f) {
-        if (!pvView->empty(f))
-            return false;
-    }
-    return true;
-}
-
 void
 PmapSystem::removeAll(PhysAddr pa, ShootdownMode mode)
 {
-    SimClock &clock = machine.clock();
-    if (!traceActive(clock)) {
-        // An empty PV chain means the Impl would be a pure no-op (no
-        // charges, no flushes); skip the dispatch.  Tracing callers
-        // still dispatch so the event stream is unchanged.
-        if (pvView && pvQuiet(pa))
-            return;
-        removeAllImpl(pa, mode);
-        return;
-    }
-    traceEmit(clock, TraceEventType::PmapRemoveAll,
-              static_cast<std::uint8_t>(mode), pa, 0);
-    SimTime t0 = clock.now();
-    removeAllImpl(pa, mode);
-    metricRecord(clock, metric::pmapOpNs, clock.now() - t0);
+    tracedOp(machine.clock(), TraceEventType::PmapRemoveAll,
+             static_cast<std::uint8_t>(mode), pa, 0,
+             [&] { removeAllImpl(pa, mode); });
 }
 
 void
 PmapSystem::copyOnWrite(PhysAddr pa, ShootdownMode mode)
 {
-    SimClock &clock = machine.clock();
-    if (!traceActive(clock)) {
-        if (pvView && pvQuiet(pa))
-            return;
-        copyOnWriteImpl(pa, mode);
-        return;
-    }
-    traceEmit(clock, TraceEventType::PmapCow,
-              static_cast<std::uint8_t>(mode), pa, 0);
-    SimTime t0 = clock.now();
-    copyOnWriteImpl(pa, mode);
-    metricRecord(clock, metric::pmapOpNs, clock.now() - t0);
+    tracedOp(machine.clock(), TraceEventType::PmapCow,
+             static_cast<std::uint8_t>(mode), pa, 0,
+             [&] { copyOnWriteImpl(pa, mode); });
 }
 
 void

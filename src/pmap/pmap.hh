@@ -20,6 +20,12 @@
  *    responsible for TLB consistency using the strategies of section
  *    5.2 (interrupt now, defer to timer tick, or allow temporary
  *    inconsistency).
+ *
+ * The split inside this layer: forward-table backends supply a table
+ * plus two one-mapping primitives, and PvPmapSystem (pv_table.hh)
+ * walks their reverse map for the physical-page operations; the RT
+ * PC, whose inverted table is its own reverse map, supplies its own
+ * physical operations.
  */
 
 #ifndef MACH_PMAP_PMAP_HH
@@ -41,7 +47,6 @@ namespace mach
 {
 
 class PmapSystem;
-class PvTable;
 
 /** Maximum CPUs a pmap tracks. */
 constexpr unsigned kMaxCpus = 32;
@@ -92,10 +97,9 @@ class Pmap : public TranslationSource
      *
      * enter/remove/protect are non-virtual shells: they emit trace
      * events and record per-operation latency (src/sim/trace.hh),
-     * then forward to the architecture's *Impl.  Subclasses calling
-     * their own implementation internally (e.g. protect degrading to
-     * remove) call the Impl directly so each machine-independent
-     * request is traced exactly once.
+     * then forward to the architecture's *Impl, so each
+     * machine-independent request is traced exactly once.  protect
+     * to no access is a remove, decided here for every backend.
      * @{
      */
     /**
@@ -198,6 +202,7 @@ class Pmap : public TranslationSource
     virtual void enterImpl(VmOffset va, PhysAddr pa, VmProt prot,
                            bool wired) = 0;
     virtual void removeImpl(VmOffset start, VmOffset end) = 0;
+    /** Restrict [start, end) to @p prot, which is never empty. */
     virtual void protectImpl(VmOffset start, VmOffset end,
                              VmProt prot) = 0;
     /** @} */
@@ -220,7 +225,10 @@ class Pmap : public TranslationSource
  * The pmap module as a whole — the analogue of pmap.c plus its
  * header.  Owns the kernel pmap, the physical attribute (modify /
  * reference) table, and the physical-page-indexed operations of
- * Table 3-3.  One subclass per supported architecture.
+ * Table 3-3.  One subclass per supported architecture: forward-table
+ * backends derive from PvPmapSystem (pmap/pv_table.hh), which walks
+ * their reverse map for the physical operations; the RT PC's
+ * inverted table supplies its own.
  */
 class PmapSystem
 {
@@ -408,17 +416,6 @@ class PmapSystem
     /** machPage / hwPageSize, cached so hot paths avoid the divide. */
     FrameNum framesPerPage = 0;
 
-    /**
-     * The module's physical-to-virtual table, when it keeps one.
-     * Lets the machine-independent shells skip the virtual dispatch
-     * into removeAllImpl / copyOnWriteImpl when a page provably has
-     * no mappings (common on the object-teardown path, where the map
-     * deallocation already emptied every chain).  Modules without a
-     * PV table (RT PC's inverted table) leave it null and always
-     * dispatch.
-     */
-    const PvTable *pvView = nullptr;
-
     /** Per-hardware-frame modify/reference attributes. */
     struct PhysAttr
     {
@@ -438,9 +435,6 @@ class PmapSystem
     /** The unbatched flush path (the pre-coalescing behavior). */
     void shootdownNow(Pmap &pmap, VmOffset start, VmOffset end,
                       ShootdownMode mode);
-
-    /** True when pvView shows no mappings for the page at @p pa. */
-    bool pvQuiet(PhysAddr pa) const;
 
     /**
      * One pending shootdown request of an open batch, or several

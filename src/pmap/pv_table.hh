@@ -1,13 +1,16 @@
 /**
  * @file
- * Physical-to-virtual mapping table.
+ * Physical-to-virtual mapping table, and the pmap module half built
+ * on it.
  *
- * Several pmap modules must implement the physical-page-indexed
- * operations of Table 3-3 (pmap_remove_all, pmap_copy_on_write) by
- * finding every (pmap, va) that maps a frame.  Architectures with
- * forward tables (VAX, SUN 3, NS32082, software TLB) keep this
- * reverse index; the RT PC's inverted page table *is* its reverse
- * index and does not need one.
+ * The physical-page-indexed operations of Table 3-3 (pmap_remove_all,
+ * pmap_copy_on_write) must find every (pmap, va) that maps a frame.
+ * Architectures with forward tables (VAX, SUN 3, NS32082, software
+ * TLB) keep this reverse index in a PvPmapSystem, which walks it for
+ * them: each such backend supplies only its table plus two
+ * one-mapping primitives (drop a mapping, revoke its write right).
+ * The RT PC's inverted page table *is* its reverse index, so that
+ * module supplies its own physical operations instead.
  *
  * The index is a per-frame singly-linked chain of zone-allocated
  * nodes under a flat head array: entering or removing a mapping on
@@ -25,11 +28,10 @@
 
 #include "base/types.hh"
 #include "base/zone.hh"
+#include "pmap/pmap.hh"
 
 namespace mach
 {
-
-class Pmap;
 
 /** One virtual mapping of a physical frame. */
 struct PvEntry
@@ -86,13 +88,6 @@ class PvTable
     }
 
     /**
-     * Snapshot the mappings of @p frame.  Returned by value so the
-     * caller can remove entries while iterating; prefer first() for
-     * process-and-remove loops, which needs no copy.
-     */
-    std::vector<PvEntry> mappings(FrameNum frame) const;
-
-    /**
      * The first recorded mapping of @p frame, or nullptr.  Drives
      * allocation-free drain loops: process the head, remove it, and
      * ask again —
@@ -109,8 +104,7 @@ class PvTable
     /**
      * Visit each mapping of @p frame without copying the chain.
      * Only for read-only walkers: @p fn must not add or remove
-     * entries for @p frame (use first()/mappings() for mutating
-     * loops).
+     * entries for @p frame (use first() for mutating loops).
      */
     template <typename Fn>
     void
@@ -123,7 +117,7 @@ class PvTable
     /** True if @p frame has no recorded mappings. */
     bool empty(FrameNum frame) const { return headOf(frame) == nullptr; }
 
-    /** Total recorded mappings (for leak checks in tests). */
+    /** Total recorded mappings (for audits and leak checks). */
     std::size_t totalMappings() const { return count; }
 
   private:
@@ -146,6 +140,41 @@ class PvTable
     /** frame -> chain head; grown lazily to the highest frame seen. */
     std::vector<PvNode *> heads;
     std::size_t count = 0;
+};
+
+/**
+ * The system half of every forward-table pmap module: owns the PV
+ * table and implements pmap_remove_all / pmap_copy_on_write once, as
+ * a walk over each hardware frame's chain inside one PmapBatch.  A
+ * page with no recorded mappings returns before the batch opens, so
+ * it charges and flushes nothing.
+ */
+class PvPmapSystem : public PmapSystem
+{
+  public:
+    PvTable &pv() { return pvTable; }
+    const PvTable &pv() const { return pvTable; }
+
+  protected:
+    explicit PvPmapSystem(Machine &machine) : PmapSystem(machine) {}
+
+    /**
+     * Drop @p pmap's hardware mapping of @p va, which must exist, and
+     * its PV record.  No charge and no flush: the walk does both.
+     */
+    virtual void dropMapping(Pmap &pmap, VmOffset va) = 0;
+
+    /** Take write permission from @p pmap's existing mapping of @p va. */
+    virtual void revokeWrite(Pmap &pmap, VmOffset va) = 0;
+
+  private:
+    void removeAllImpl(PhysAddr pa, ShootdownMode mode) final;
+    void copyOnWriteImpl(PhysAddr pa, ShootdownMode mode) final;
+
+    /** True when no hardware frame of the page at @p pa is mapped. */
+    bool unmapped(PhysAddr pa) const;
+
+    PvTable pvTable;
 };
 
 } // namespace mach

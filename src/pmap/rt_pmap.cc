@@ -88,10 +88,6 @@ RtPmap::removeImpl(VmOffset start, VmOffset end)
 void
 RtPmap::protectImpl(VmOffset start, VmOffset end, VmProt prot)
 {
-    if (protEmpty(prot)) {
-        removeImpl(start, end);
-        return;
-    }
     const MachineSpec &spec = rsys.getMachine().spec;
     VmSize hw = spec.hwPageSize();
     unsigned changed = 0;

@@ -16,7 +16,10 @@
  *
  * The inverted table itself (IptEntry per frame) is the ground
  * truth; the per-pmap hash from virtual page to frame models the
- * ROMP's hash-anchor lookup structure.
+ * ROMP's hash-anchor lookup structure.  Because the table is already
+ * indexed by frame it is its own reverse map: this is the one module
+ * that implements pmap_remove_all / pmap_copy_on_write itself rather
+ * than deriving from PvPmapSystem.
  */
 
 #ifndef MACH_PMAP_RT_PMAP_HH

@@ -40,17 +40,9 @@ Sun3Pmap::enterImpl(VmOffset va, PhysAddr pa, VmProt prot, bool wired)
             idx = it->second;
         }
         Sun3PmapSystem::Pmeg &pmeg = ssys.pmegs[idx];
-        unsigned slot = (hva - seg) >> spec.hwPageShift;
-        Sun3PmapSystem::Pte &pte = pmeg.ptes[slot];
-        if (pte.valid) {
-            ssys.pv.remove(pte.pageBase >> spec.hwPageShift, this, hva);
-            --pmeg.validCount;
-            if (pte.wired) {
-                pte.wired = false;
-                --pmeg.wiredCount;
-            }
-            --nMappings;
-        }
+        Sun3PmapSystem::Pte &pte = ssys.pteOf(pmeg, hva);
+        if (pte.valid)
+            ssys.invalidatePte(pmeg, hva);
         pte.valid = true;
         pte.pageBase = pa + off;
         pte.prot = prot;
@@ -59,7 +51,7 @@ Sun3Pmap::enterImpl(VmOffset va, PhysAddr pa, VmProt prot, bool wired)
             ++pmeg.wiredCount;
         ++pmeg.validCount;
         ++nMappings;
-        ssys.pv.add((pa + off) >> spec.hwPageShift, this, hva);
+        ssys.pv().add((pa + off) >> spec.hwPageShift, this, hva);
         ssys.chargePmap(spec.costs.pmapEnter);
     }
     shootdown(va, va + machPage, ShootdownMode::Immediate);
@@ -69,7 +61,6 @@ void
 Sun3Pmap::removeImpl(VmOffset start, VmOffset end)
 {
     const MachineSpec &spec = ssys.getMachine().spec;
-    VmSize hw = spec.hwPageSize();
     unsigned removed = 0;
 
     for (auto it = segmap.begin(); it != segmap.end();) {
@@ -84,19 +75,9 @@ Sun3Pmap::removeImpl(VmOffset start, VmOffset end)
         for (unsigned slot = 0; slot < Sun3PmapSystem::kPtesPerPmeg;
              ++slot) {
             VmOffset va = seg + (VmOffset(slot) << spec.hwPageShift);
-            if (va < start || va >= end)
+            if (va < start || va >= end || !pmeg.ptes[slot].valid)
                 continue;
-            Sun3PmapSystem::Pte &pte = pmeg.ptes[slot];
-            if (!pte.valid)
-                continue;
-            ssys.pv.remove(pte.pageBase >> spec.hwPageShift, this, va);
-            pte.valid = false;
-            if (pte.wired) {
-                pte.wired = false;
-                --pmeg.wiredCount;
-            }
-            --pmeg.validCount;
-            --nMappings;
+            ssys.invalidatePte(pmeg, va);
             ++removed;
         }
         if (pmeg.validCount == 0) {
@@ -108,7 +89,6 @@ Sun3Pmap::removeImpl(VmOffset start, VmOffset end)
             ++it;
         }
     }
-    (void)hw;
 
     if (removed) {
         ssys.chargePmap(SimTime(removed) * spec.costs.pmapRemovePerPage);
@@ -119,10 +99,6 @@ Sun3Pmap::removeImpl(VmOffset start, VmOffset end)
 void
 Sun3Pmap::protectImpl(VmOffset start, VmOffset end, VmProt prot)
 {
-    if (protEmpty(prot)) {
-        removeImpl(start, end);
-        return;
-    }
     const MachineSpec &spec = ssys.getMachine().spec;
     unsigned changed = 0;
     for (auto &[seg, idx] : segmap) {
@@ -184,18 +160,11 @@ Sun3Pmap::hwLookup(VmOffset va, AccessType access)
 }
 
 Sun3PmapSystem::Sun3PmapSystem(Machine &machine, unsigned pmeg_count)
-    : PmapSystem(machine), pmegs(pmeg_count)
+    : PvPmapSystem(machine), pmegs(pmeg_count)
 {
-    pvView = &pv;
     freeList.reserve(pmeg_count);
     for (unsigned i = 0; i < pmeg_count; ++i)
         freeList.push_back(pmeg_count - 1 - i);
-}
-
-void
-Sun3PmapSystem::init(VmSize mach_page_size)
-{
-    PmapSystem::init(mach_page_size);
 }
 
 std::unique_ptr<Pmap>
@@ -250,15 +219,10 @@ Sun3PmapSystem::releasePmeg(unsigned idx, bool to_free_list)
     Pmeg &p = pmegs[idx];
     if (!p.inUse)
         return;
-    const MachineSpec &spec = machine.spec;
+    VmSize hw = machine.spec.hwPageSize();
     for (unsigned slot = 0; slot < kPtesPerPmeg; ++slot) {
-        Pte &pte = p.ptes[slot];
-        if (!pte.valid)
-            continue;
-        VmOffset va = p.segBase + (VmOffset(slot) << spec.hwPageShift);
-        pv.remove(pte.pageBase >> spec.hwPageShift, p.owner, va);
-        pte.valid = false;
-        --p.owner->nMappings;
+        if (p.ptes[slot].valid)
+            invalidatePte(p, p.segBase + slot * hw);
     }
     shootdownRange(*p.owner, p.segBase, p.segBase + segmentSize(),
                    ShootdownMode::Immediate);
@@ -329,62 +293,41 @@ Sun3PmapSystem::onPmapDestroy(Pmap *pmap)
     }
 }
 
-void
-Sun3PmapSystem::removeAllImpl(PhysAddr pa, ShootdownMode mode)
+Sun3PmapSystem::Pmeg &
+Sun3PmapSystem::pmegOf(Sun3Pmap &pmap, VmOffset va)
 {
-    const MachineSpec &spec = machine.spec;
-    VmSize hw = spec.hwPageSize();
-    // Coalesce the per-sharer flushes into one round.
-    PmapBatch batch(*this);
-    for (VmSize off = 0; off < machPageSize(); off += hw) {
-        FrameNum frame = (pa + off) >> spec.hwPageShift;
-        // Drain the chain head-first: each remove() frees the head
-        // node, so the next round sees the next mapping — same order
-        // the old snapshot walk processed, without the copy.
-        while (const PvEntry *e = pv.first(frame)) {
-            auto *sp = static_cast<Sun3Pmap *>(e->pmap);
-            VmOffset va = e->va;
-            auto it = sp->segmap.find(segBaseOf(va));
-            MACH_ASSERT(it != sp->segmap.end());
-            Pmeg &pmeg = pmegs[it->second];
-            unsigned slot = (va - pmeg.segBase) >> spec.hwPageShift;
-            Pte &pte = pmeg.ptes[slot];
-            MACH_ASSERT(pte.valid);
-            pv.remove(frame, sp, va);
-            pte.valid = false;
-            if (pte.wired) {
-                pte.wired = false;
-                --pmeg.wiredCount;
-            }
-            --pmeg.validCount;
-            --sp->nMappings;
-            chargePmap(spec.costs.pmapRemovePerPage);
-            shootdownRange(*sp, va, va + hw, mode);
-        }
-    }
+    auto it = pmap.segmap.find(segBaseOf(va));
+    MACH_ASSERT(it != pmap.segmap.end());
+    return pmegs[it->second];
 }
 
 void
-Sun3PmapSystem::copyOnWriteImpl(PhysAddr pa, ShootdownMode mode)
+Sun3PmapSystem::invalidatePte(Pmeg &pmeg, VmOffset va)
 {
-    const MachineSpec &spec = machine.spec;
-    VmSize hw = spec.hwPageSize();
-    PmapBatch batch(*this);
-    for (VmSize off = 0; off < machPageSize(); off += hw) {
-        FrameNum frame = (pa + off) >> spec.hwPageShift;
-        pv.forEach(frame, [&](const PvEntry &e) {
-            auto *sp = static_cast<Sun3Pmap *>(e.pmap);
-            auto it = sp->segmap.find(segBaseOf(e.va));
-            MACH_ASSERT(it != sp->segmap.end());
-            Pmeg &pmeg = pmegs[it->second];
-            unsigned slot = (e.va - pmeg.segBase) >> spec.hwPageShift;
-            Pte &pte = pmeg.ptes[slot];
-            MACH_ASSERT(pte.valid);
-            pte.prot &= ~VmProt::Write;
-            chargePmap(spec.costs.pmapProtectPerPage);
-            shootdownRange(*sp, e.va, e.va + hw, mode);
-        });
+    Pte &pte = pteOf(pmeg, va);
+    MACH_ASSERT(pte.valid);
+    pv().remove(pte.pageBase >> machine.spec.hwPageShift, pmeg.owner, va);
+    pte.valid = false;
+    if (pte.wired) {
+        pte.wired = false;
+        --pmeg.wiredCount;
     }
+    --pmeg.validCount;
+    --pmeg.owner->nMappings;
+}
+
+void
+Sun3PmapSystem::dropMapping(Pmap &pmap, VmOffset va)
+{
+    invalidatePte(pmegOf(static_cast<Sun3Pmap &>(pmap), va), va);
+}
+
+void
+Sun3PmapSystem::revokeWrite(Pmap &pmap, VmOffset va)
+{
+    Pte &pte = pteOf(pmegOf(static_cast<Sun3Pmap &>(pmap), va), va);
+    MACH_ASSERT(pte.valid);
+    pte.prot &= ~VmProt::Write;
 }
 
 } // namespace mach

@@ -20,6 +20,9 @@
  *
  * Both behaviors exercise the paper's central pmap contract: the
  * hardware map is only a cache of the machine-independent state.
+ * The physical-page operations come from PvPmapSystem: this module
+ * supplies the PMEG tables plus its two one-mapping primitives, and
+ * every PTE invalidation goes through Sun3PmapSystem::invalidatePte.
  */
 
 #ifndef MACH_PMAP_SUN3_PMAP_HH
@@ -29,7 +32,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "pmap/pmap.hh"
 #include "pmap/pv_table.hh"
 
 namespace mach
@@ -70,7 +72,7 @@ class Sun3Pmap final : public Pmap
 };
 
 /** The SUN 3 pmap module: owns the PMEG pool and context slots. */
-class Sun3PmapSystem : public PmapSystem
+class Sun3PmapSystem : public PvPmapSystem
 {
   public:
     static constexpr unsigned kPtesPerPmeg = 16;
@@ -79,10 +81,6 @@ class Sun3PmapSystem : public PmapSystem
     explicit Sun3PmapSystem(Machine &machine,
                             unsigned pmeg_count = kDefaultPmegs);
 
-    void init(VmSize mach_page_size) override;
-
-    void removeAllImpl(PhysAddr pa, ShootdownMode mode) override;
-    void copyOnWriteImpl(PhysAddr pa, ShootdownMode mode) override;
     void onPmapDestroy(Pmap *pmap) override;
 
     /** Bytes covered by one segment (PMEG). */
@@ -101,6 +99,8 @@ class Sun3PmapSystem : public PmapSystem
 
   protected:
     std::unique_ptr<Pmap> allocatePmap(bool kernel) override;
+    void dropMapping(Pmap &pmap, VmOffset va) override;
+    void revokeWrite(Pmap &pmap, VmOffset va) override;
 
   private:
     friend class Sun3Pmap;
@@ -124,6 +124,19 @@ class Sun3PmapSystem : public PmapSystem
         unsigned wiredCount = 0;
     };
 
+    /** The PMEG holding @p pmap's existing mapping of @p va. */
+    Pmeg &pmegOf(Sun3Pmap &pmap, VmOffset va);
+
+    /** The PTE of @p pmeg that maps @p va. */
+    Pte &
+    pteOf(Pmeg &pmeg, VmOffset va)
+    {
+        return pmeg.ptes[(va - pmeg.segBase) >> machine.spec.hwPageShift];
+    }
+
+    /** Drop @p pmeg's valid mapping of @p va and its PV record. */
+    void invalidatePte(Pmeg &pmeg, VmOffset va);
+
     /** Allocate a PMEG for (@p pmap, @p seg_base), stealing if dry. */
     unsigned allocPmeg(Sun3Pmap *pmap, VmOffset seg_base);
 
@@ -142,8 +155,6 @@ class Sun3PmapSystem : public PmapSystem
 
     std::array<Sun3Pmap *, 8> contexts{};
     unsigned contextClock = 0;
-
-    PvTable pv;
 };
 
 } // namespace mach

@@ -1,5 +1,7 @@
 #include "pmap/tlbsoft_pmap.hh"
 
+#include <iterator>
+
 namespace mach
 {
 
@@ -20,13 +22,10 @@ TlbSoftPmap::enterImpl(VmOffset va, PhysAddr pa, VmProt prot, bool wired)
     for (VmSize off = 0; off < machPage; off += hw) {
         VmOffset vpn = (va + off) >> spec.hwPageShift;
         auto it = dict.find(vpn);
-        if (it != dict.end()) {
-            tsys.pv.remove(it->second.pageBase >> spec.hwPageShift,
-                           this, va + off);
-            --nMappings;
-        }
+        if (it != dict.end())
+            invalidate(it);
         dict[vpn] = Entry{pa + off, prot, wired};
-        tsys.pv.add((pa + off) >> spec.hwPageShift, this, va + off);
+        tsys.pv().add((pa + off) >> spec.hwPageShift, this, va + off);
         ++nMappings;
         tsys.chargePmap(spec.costs.pmapEnter);
     }
@@ -45,20 +44,14 @@ TlbSoftPmap::removeImpl(VmOffset start, VmOffset end)
             auto it = dict.find(va >> spec.hwPageShift);
             if (it == dict.end())
                 continue;
-            tsys.pv.remove(it->second.pageBase >> spec.hwPageShift,
-                           this, va);
-            dict.erase(it);
-            --nMappings;
+            invalidate(it);
             ++removed;
         }
     } else {
         for (auto it = dict.begin(); it != dict.end();) {
             VmOffset va = it->first << spec.hwPageShift;
             if (va >= start && va < end) {
-                tsys.pv.remove(it->second.pageBase >> spec.hwPageShift,
-                               this, va);
-                it = dict.erase(it);
-                --nMappings;
+                it = invalidate(it);
                 ++removed;
             } else {
                 ++it;
@@ -75,10 +68,6 @@ TlbSoftPmap::removeImpl(VmOffset start, VmOffset end)
 void
 TlbSoftPmap::protectImpl(VmOffset start, VmOffset end, VmProt prot)
 {
-    if (protEmpty(prot)) {
-        removeImpl(start, end);
-        return;
-    }
     const MachineSpec &spec = tsys.getMachine().spec;
     VmSize hw = spec.hwPageSize();
     unsigned changed = 0;
@@ -93,6 +82,16 @@ TlbSoftPmap::protectImpl(VmOffset start, VmOffset end, VmProt prot)
         tsys.chargePmap(SimTime(changed) * spec.costs.pmapProtectPerPage);
         shootdown(start, end, tsys.policy.protect);
     }
+}
+
+TlbSoftPmap::Dict::iterator
+TlbSoftPmap::invalidate(Dict::iterator it)
+{
+    unsigned shift = tsys.getMachine().spec.hwPageShift;
+    tsys.pv().remove(it->second.pageBase >> shift, this,
+                     it->first << shift);
+    --nMappings;
+    return dict.erase(it);
 }
 
 std::optional<PhysAddr>
@@ -111,17 +110,8 @@ TlbSoftPmap::garbageCollect()
     if (kernel())
         return;
     const MachineSpec &spec = tsys.getMachine().spec;
-    for (auto it = dict.begin(); it != dict.end();) {
-        if (it->second.wired) {
-            ++it;
-            continue;
-        }
-        VmOffset va = it->first << spec.hwPageShift;
-        tsys.pv.remove(it->second.pageBase >> spec.hwPageShift, this,
-                       va);
-        it = dict.erase(it);
-        --nMappings;
-    }
+    for (auto it = dict.begin(); it != dict.end();)
+        it = it->second.wired ? std::next(it) : invalidate(it);
     // A full software-TLB sweep invalidates everything at once.
     shootdown(0, spec.effectiveVaLimit(), ShootdownMode::Immediate);
 }
@@ -139,48 +129,21 @@ TlbSoftPmap::hwLookup(VmOffset va, AccessType access)
 }
 
 void
-TlbSoftPmapSystem::removeAllImpl(PhysAddr pa, ShootdownMode mode)
+TlbSoftPmapSystem::dropMapping(Pmap &pmap, VmOffset va)
 {
-    const MachineSpec &spec = machine.spec;
-    VmSize hw = spec.hwPageSize();
-    // Coalesce the per-sharer flushes into one round.
-    PmapBatch batch(*this);
-    for (VmSize off = 0; off < machPageSize(); off += hw) {
-        FrameNum frame = (pa + off) >> spec.hwPageShift;
-        // Drain the chain head-first: each remove() frees the head
-        // node, so the next round sees the next mapping — same order
-        // the old snapshot walk processed, without the copy.
-        while (const PvEntry *e = pv.first(frame)) {
-            auto *tp = static_cast<TlbSoftPmap *>(e->pmap);
-            VmOffset va = e->va;
-            auto it = tp->dict.find(va >> spec.hwPageShift);
-            MACH_ASSERT(it != tp->dict.end());
-            pv.remove(frame, tp, va);
-            tp->dict.erase(it);
-            --tp->nMappings;
-            chargePmap(spec.costs.pmapRemovePerPage);
-            shootdownRange(*tp, va, va + hw, mode);
-        }
-    }
+    auto &tp = static_cast<TlbSoftPmap &>(pmap);
+    auto it = tp.dict.find(va >> machine.spec.hwPageShift);
+    MACH_ASSERT(it != tp.dict.end());
+    tp.invalidate(it);
 }
 
 void
-TlbSoftPmapSystem::copyOnWriteImpl(PhysAddr pa, ShootdownMode mode)
+TlbSoftPmapSystem::revokeWrite(Pmap &pmap, VmOffset va)
 {
-    const MachineSpec &spec = machine.spec;
-    VmSize hw = spec.hwPageSize();
-    PmapBatch batch(*this);
-    for (VmSize off = 0; off < machPageSize(); off += hw) {
-        FrameNum frame = (pa + off) >> spec.hwPageShift;
-        pv.forEach(frame, [&](const PvEntry &e) {
-            auto *tp = static_cast<TlbSoftPmap *>(e.pmap);
-            auto it = tp->dict.find(e.va >> spec.hwPageShift);
-            MACH_ASSERT(it != tp->dict.end());
-            it->second.prot &= ~VmProt::Write;
-            chargePmap(spec.costs.pmapProtectPerPage);
-            shootdownRange(*tp, e.va, e.va + hw, mode);
-        });
-    }
+    auto &tp = static_cast<TlbSoftPmap &>(pmap);
+    auto it = tp.dict.find(va >> machine.spec.hwPageShift);
+    MACH_ASSERT(it != tp.dict.end());
+    it->second.prot &= ~VmProt::Write;
 }
 
 } // namespace mach

@@ -11,7 +11,9 @@
  *
  * This module demonstrates that: the "hardware structure" is a plain
  * dictionary consulted by the software TLB-refill handler, and the
- * whole module is a fraction of the size of the others.
+ * whole module is a fraction of the size of the others.  The
+ * physical-page operations come from PvPmapSystem, so the module is
+ * the dictionary plus its two one-mapping primitives.
  */
 
 #ifndef MACH_PMAP_TLBSOFT_PMAP_HH
@@ -19,7 +21,6 @@
 
 #include <unordered_map>
 
-#include "pmap/pmap.hh"
 #include "pmap/pv_table.hh"
 
 namespace mach
@@ -55,32 +56,30 @@ class TlbSoftPmap final : public Pmap
         VmProt prot = VmProt::None;
         bool wired = false;
     };
+    using Dict = std::unordered_map<VmOffset, Entry>;
+
+    /** Drop one translation and its PV record; returns the next. */
+    Dict::iterator invalidate(Dict::iterator it);
 
     TlbSoftPmapSystem &tsys;
-    std::unordered_map<VmOffset, Entry> dict;  //!< keyed by hw vpn
+    Dict dict;  //!< keyed by hw vpn
 };
 
 /** The software-TLB pmap module. */
-class TlbSoftPmapSystem : public PmapSystem
+class TlbSoftPmapSystem : public PvPmapSystem
 {
   public:
-    explicit TlbSoftPmapSystem(Machine &machine) : PmapSystem(machine)
+    explicit TlbSoftPmapSystem(Machine &machine) : PvPmapSystem(machine)
     {
-        pvView = &pv;
     }
-
-    void removeAllImpl(PhysAddr pa, ShootdownMode mode) override;
-    void copyOnWriteImpl(PhysAddr pa, ShootdownMode mode) override;
 
   protected:
     std::unique_ptr<Pmap> allocatePmap(bool kernel) override
     {
         return std::make_unique<TlbSoftPmap>(*this, kernel);
     }
-
-  private:
-    friend class TlbSoftPmap;
-    PvTable pv;
+    void dropMapping(Pmap &pmap, VmOffset va) override;
+    void revokeWrite(Pmap &pmap, VmOffset va) override;
 };
 
 } // namespace mach

@@ -144,10 +144,6 @@ LinearPmap::removeImpl(VmOffset start, VmOffset end)
 void
 LinearPmap::protectImpl(VmOffset start, VmOffset end, VmProt prot)
 {
-    if (protEmpty(prot)) {
-        removeImpl(start, end);
-        return;
-    }
     const MachineSpec &spec = lsys.getMachine().spec;
     VmSize hw = spec.hwPageSize();
     unsigned changed = 0;
@@ -217,20 +213,6 @@ LinearPmap::copyFrom(Pmap &src, VmOffset dst_addr, VmSize len,
 }
 
 void
-LinearPmap::trimEmptyTables()
-{
-    for (auto it = tables.begin(); it != tables.end();) {
-        if (it->second->validCount == 0) {
-            it = tables.erase(it);
-            ++lsys.tablePagesFreed;
-            invalidateTableCache();
-        } else {
-            ++it;
-        }
-    }
-}
-
-void
 LinearPmap::garbageCollect()
 {
     // Kernel mappings must stay complete and accurate.
@@ -266,9 +248,8 @@ LinearPmap::garbageCollect()
 }
 
 LinearPmapSystem::LinearPmapSystem(Machine &machine)
-    : PmapSystem(machine)
+    : PvPmapSystem(machine)
 {
-    pvView = &pvTable;
     setPtesPerTablePage(128);
 }
 
@@ -279,47 +260,20 @@ LinearPmapSystem::allocatePmap(bool kernel)
 }
 
 void
-LinearPmapSystem::removeAllImpl(PhysAddr pa, ShootdownMode mode)
+LinearPmapSystem::dropMapping(Pmap &pmap, VmOffset va)
 {
-    const MachineSpec &spec = machine.spec;
-    VmSize hw = spec.hwPageSize();
-    // Coalesce the per-sharer flushes into one round even when the
-    // caller did not open a batch of its own.
-    PmapBatch batch(*this);
-    for (VmSize off = 0; off < machPageSize(); off += hw) {
-        FrameNum frame = (pa + off) >> spec.hwPageShift;
-        // Drain the chain head-first: invalidatePte removes the head
-        // entry, so each round of the loop sees the next mapping —
-        // the same order the snapshot walk processed, sans the copy.
-        while (const PvEntry *e = pvTable.first(frame)) {
-            auto *lp = static_cast<LinearPmap *>(e->pmap);
-            VmOffset va = e->va;
-            LinearPmap::PteRef ref = lp->lookupPte(va);
-            MACH_ASSERT(ref && ref.pte->valid);
-            lp->invalidatePte(va, *ref.page, *ref.pte);
-            chargePmap(spec.costs.pmapRemovePerPage);
-            shootdownRange(*lp, va, va + hw, mode);
-        }
-    }
+    auto &lp = static_cast<LinearPmap &>(pmap);
+    LinearPmap::PteRef ref = lp.lookupPte(va);
+    MACH_ASSERT(ref && ref.pte->valid);
+    lp.invalidatePte(va, *ref.page, *ref.pte);
 }
 
 void
-LinearPmapSystem::copyOnWriteImpl(PhysAddr pa, ShootdownMode mode)
+LinearPmapSystem::revokeWrite(Pmap &pmap, VmOffset va)
 {
-    const MachineSpec &spec = machine.spec;
-    VmSize hw = spec.hwPageSize();
-    PmapBatch batch(*this);
-    for (VmSize off = 0; off < machPageSize(); off += hw) {
-        FrameNum frame = (pa + off) >> spec.hwPageShift;
-        pvTable.forEach(frame, [&](const PvEntry &e) {
-            auto *lp = static_cast<LinearPmap *>(e.pmap);
-            LinearPmap::PteRef ref = lp->lookupPte(e.va);
-            MACH_ASSERT(ref && ref.pte->valid);
-            ref.pte->prot &= ~VmProt::Write;
-            chargePmap(spec.costs.pmapProtectPerPage);
-            shootdownRange(*lp, e.va, e.va + hw, mode);
-        });
-    }
+    LinearPmap::PteRef ref = static_cast<LinearPmap &>(pmap).lookupPte(va);
+    MACH_ASSERT(ref && ref.pte->valid);
+    ref.pte->prot &= ~VmProt::Write;
 }
 
 } // namespace mach

@@ -12,7 +12,9 @@
  * The mechanism (a sparse set of page-table pages, built on demand
  * and garbage-collectable) is shared with the NS32082 module, which
  * differs only in geometry and its address-space limits; the common
- * machinery lives in LinearPmap / LinearPmapSystem here.
+ * machinery lives in LinearPmap / LinearPmapSystem here.  The
+ * physical-page operations come from PvPmapSystem: this module
+ * supplies the table plus its two one-mapping primitives.
  */
 
 #ifndef MACH_PMAP_VAX_PMAP_HH
@@ -49,9 +51,6 @@ class LinearPmap : public Pmap
      */
     void copyFrom(Pmap &src, VmOffset dst_addr, VmSize len,
                   VmOffset src_addr) override;
-
-    /** Number of page-table pages currently built (statistics). */
-    std::size_t tablePages() const { return tables.size(); }
 
   protected:
     void enterImpl(VmOffset va, PhysAddr pa, VmProt prot,
@@ -101,9 +100,6 @@ class LinearPmap : public Pmap
     /** Remove one hw mapping (PTE + pv entry); table GC separate. */
     void invalidatePte(VmOffset va, PtPage &pt, Pte &pte);
 
-    /** Drop table pages with no valid PTEs. */
-    void trimEmptyTables();
-
     /** Forget the cached table page (call after any tables.erase). */
     void
     invalidateTableCache()
@@ -124,13 +120,10 @@ class LinearPmap : public Pmap
 };
 
 /** Shared system half for linear-page-table architectures. */
-class LinearPmapSystem : public PmapSystem
+class LinearPmapSystem : public PvPmapSystem
 {
   public:
     explicit LinearPmapSystem(Machine &machine);
-
-    void removeAllImpl(PhysAddr pa, ShootdownMode mode) override;
-    void copyOnWriteImpl(PhysAddr pa, ShootdownMode mode) override;
 
     /** PTEs that fit in one page-table page. */
     unsigned ptesPerTablePage() const { return ptesPerPage; }
@@ -138,10 +131,10 @@ class LinearPmapSystem : public PmapSystem
     /** log2 of ptesPerTablePage (always a power of two). */
     unsigned pteIndexShift() const { return pteShift; }
 
-    PvTable &pv() { return pvTable; }
-
   protected:
     std::unique_ptr<Pmap> allocatePmap(bool kernel) override;
+    void dropMapping(Pmap &pmap, VmOffset va) override;
+    void revokeWrite(Pmap &pmap, VmOffset va) override;
 
     /**
      * Set the PTE slots per table page (a power of two), checked
@@ -154,8 +147,6 @@ class LinearPmapSystem : public PmapSystem
         ptesPerPage = n;
         pteShift = unsigned(std::countr_zero(n));
     }
-
-    PvTable pvTable;
 
   private:
     /** PTE slots per table page; 512-byte page / 4-byte PTE = 128. */
@@ -182,10 +173,7 @@ class VaxPmap final : public LinearPmap
 class VaxPmapSystem : public LinearPmapSystem
 {
   public:
-    explicit VaxPmapSystem(Machine &machine)
-        : LinearPmapSystem(machine)
-    {
-    }
+    using LinearPmapSystem::LinearPmapSystem;
 };
 
 } // namespace mach

@@ -12,17 +12,22 @@ namespace mach
 
 SimDisk::SimDisk(SimClock &clock, const CostModel &costs,
                  std::uint64_t capacity_bytes)
-    : clock(clock), costs(costs), store(capacity_bytes, 0)
+    : clock(clock), costs(costs), size(capacity_bytes),
+      store(static_cast<std::uint8_t *>(std::calloc(size ? size : 1, 1)))
 {
+    if (!store)
+        fatal("SimDisk: cannot allocate %llu bytes",
+              (unsigned long long)size);
 }
 
 void
 SimDisk::checkRange(std::uint64_t offset, std::uint64_t len) const
 {
-    if (offset + len > store.size() || offset + len < offset) {
-        panic("SimDisk access [%llu, %llu) beyond capacity %zu",
+    if (offset + len > size || offset + len < offset) {
+        panic("SimDisk access [%llu, %llu) beyond capacity %llu",
               (unsigned long long)offset,
-              (unsigned long long)(offset + len), store.size());
+              (unsigned long long)(offset + len),
+              (unsigned long long)size);
     }
 }
 
@@ -57,7 +62,7 @@ SimDisk::read(std::uint64_t offset, void *buf, std::uint64_t len)
     PagerResult pr = injectionFor(false, offset, len);
     if (pr != PagerResult::Ok)
         return pr;
-    std::memcpy(buf, store.data() + offset, len);
+    std::memcpy(buf, store.get() + offset, len);
     SimTime cost = costs.diskCost(len);
     clock.charge(CostKind::Disk, cost);
     ++reads;
@@ -74,7 +79,7 @@ SimDisk::write(std::uint64_t offset, const void *buf, std::uint64_t len)
     PagerResult pr = injectionFor(true, offset, len);
     if (pr != PagerResult::Ok)
         return pr;
-    std::memcpy(store.data() + offset, buf, len);
+    std::memcpy(store.get() + offset, buf, len);
     SimTime cost = costs.diskCost(len);
     clock.charge(CostKind::Disk, cost);
     ++writes;
@@ -92,7 +97,7 @@ SimDisk::writeAsync(std::uint64_t offset, const void *buf,
     PagerResult pr = injectionFor(true, offset, len);
     if (pr != PagerResult::Ok)
         return pr;
-    std::memcpy(store.data() + offset, buf, len);
+    std::memcpy(store.get() + offset, buf, len);
     SimTime cost = static_cast<SimTime>(costs.diskPerByte * len);
     clock.charge(CostKind::Disk, cost);
     ++writes;

@@ -11,7 +11,8 @@
 #define MACH_SIM_SIM_DISK_HH
 
 #include <cstdint>
-#include <vector>
+#include <cstdlib>
+#include <memory>
 
 #include "base/status.hh"
 #include "base/types.hh"
@@ -35,7 +36,7 @@ class SimDisk
     SimDisk(SimClock &clock, const CostModel &costs,
             std::uint64_t capacity_bytes);
 
-    std::uint64_t capacity() const { return store.size(); }
+    std::uint64_t capacity() const { return size; }
 
     /**
      * Read @p len bytes at @p offset into @p buf, charging time.
@@ -78,9 +79,20 @@ class SimDisk
     PagerResult injectionFor(bool is_write, std::uint64_t offset,
                              std::uint64_t len);
 
+    struct FreeStore
+    {
+        void operator()(std::uint8_t *p) const { std::free(p); }
+    };
+
     SimClock &clock;
     const CostModel &costs;
-    std::vector<std::uint8_t> store;
+    std::uint64_t size;
+    /**
+     * calloc'd, so the zeroed store costs nothing until a block is
+     * first written: a large allocation comes straight from the OS as
+     * zero pages, and untouched blocks are never faulted in.
+     */
+    std::unique_ptr<std::uint8_t[], FreeStore> store;
     FaultInjector *inject = nullptr;
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;

@@ -11,16 +11,22 @@
  *   - after remove()/removeAll() the mapping is definitely gone;
  *   - wired kernel mappings are never dropped;
  *   - protections never exceed what was last set.
+ *
+ * On the four backends with a PV table the reverse map is also
+ * audited against the pmaps after every step.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 
 #include "hw/machine.hh"
 #include "pmap/pmap.hh"
+#include "pmap/pv_table.hh"
 #include "test_util.hh"
 
 namespace mach
@@ -58,6 +64,43 @@ struct Param
 class PmapProperty : public ::testing::TestWithParam<Param>
 {
 };
+
+/**
+ * The PV table agrees with the pmaps: every record (pmap, va) of a
+ * frame names a live pmap that extracts va to exactly that frame,
+ * and the table holds as many records as the live pmaps count
+ * hardware mappings.  Modules without a PV table (RT PC) pass.
+ */
+void
+expectPvAgrees(PmapSystem &sys, std::initializer_list<Pmap *> live)
+{
+    auto *pvs = dynamic_cast<PvPmapSystem *>(&sys);
+    if (!pvs)
+        return;
+    const PvTable &pv = pvs->pv();
+    const MachineSpec &spec = sys.getMachine().spec;
+    std::size_t records = 0;
+    for (FrameNum f = 0; f < spec.physMemBytes / spec.hwPageSize(); ++f) {
+        pv.forEach(f, [&](const PvEntry &e) {
+            ++records;
+            ASSERT_NE(std::find(live.begin(), live.end(), e.pmap),
+                      live.end())
+                << "frame " << f << " has a record of a dead pmap";
+            EXPECT_EQ(e.pmap->extract(e.va),
+                      std::optional<PhysAddr>(PhysAddr(f)
+                                              << spec.hwPageShift))
+                << "PV record (va " << e.va << ") of frame " << f
+                << " disagrees with its pmap";
+        });
+    }
+    std::uint64_t resident = 0;
+    for (Pmap *p : live)
+        resident += p->residentMappings();
+    EXPECT_EQ(records, pv.totalMappings());
+    EXPECT_EQ(resident, pv.totalMappings())
+        << "pmaps count a different number of mappings than the PV "
+           "table records";
+}
 
 TEST_P(PmapProperty, RandomOperationsNeverLie)
 {
@@ -171,6 +214,10 @@ TEST_P(PmapProperty, RandomOperationsNeverLie)
 
         if (step % 23 == 0)
             verify();
+        expectPvAgrees(*sys, {pmaps[0], pmaps[1], pmaps[2],
+                              sys->kernelPmap()});
+        ASSERT_FALSE(HasFailure()) << "after step " << step << " (op "
+                                   << op << ")";
     }
     verify();
 
@@ -222,6 +269,8 @@ TEST_P(PmapProperty, WiredKernelMappingsSurviveEverything)
             user->garbageCollect();
         if (rng.next(7) == 0)
             kernel->garbageCollect();
+        expectPvAgrees(*sys, {kernel, user});
+        ASSERT_FALSE(HasFailure()) << "after step " << step;
     }
 
     for (unsigned i = 0; i < kWired; ++i) {
