@@ -280,7 +280,9 @@ ExternalPager::applyRequest(Message &msg)
         VmOffset end = msg.word(0) + msg.word(1);
         for (VmOffset off = start; off < end; off += vm.pageSize()) {
             VmPage *p = object->pageAt(off);
-            if (!p)
+            // A wired page must stay resident and mapped (the kernel
+            // may be running on it), so the flush leaves it alone.
+            if (!p || p->wireCount > 0)
                 continue;
             vm.pmaps.removeAll(p->physAddr, ShootdownMode::Immediate);
             vm.freePage(p);

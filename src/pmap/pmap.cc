@@ -409,7 +409,6 @@ PmapSystem::dispatchFlush(const std::bitset<kMaxCpus> &targets,
     SimClock &clock = machine.clock();
     SimTime t0 = clock.now();
     const std::uint64_t round = ++shootdownRoundSeq;
-    unsigned remote = 0;
     for (unsigned i = 0; i < machine.numCpus(); ++i) {
         if (!targets.test(i))
             continue;
@@ -419,17 +418,11 @@ PmapSystem::dispatchFlush(const std::bitset<kMaxCpus> &targets,
             ++shootdownIpis;
             if (batched)
                 ++batchedIpis;
-            ++remote;
             traceEmit(clock, TraceEventType::Ipi, 0, i, round);
             machine.ipi(i, flushCpu);
         }
     }
-    if (MetricsRegistry *reg = clock.metricsRegistry()) {
-        CpuId cpu = clock.traceCpu();
-        reg->add(metric::shootdownRounds, 1, cpu);
-        reg->add(metric::shootdownRemoteTargets, remote, cpu);
-        reg->record(metric::shootdownWaitNs, clock.now() - t0, cpu);
-    }
+    metricRecord(clock, metric::shootdownWaitNs, clock.now() - t0);
 }
 
 void

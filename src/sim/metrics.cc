@@ -44,8 +44,7 @@ LatencyHistogram::merge(const LatencyHistogram &other)
     sum_ += other.sum_;
 }
 
-MetricsRegistry::MetricsRegistry(unsigned ncpus_)
-    : ncpus(ncpus_ ? ncpus_ : 1)
+MetricsRegistry::MetricsRegistry()
 {
     // Registration order gives the fixed ids of namespace metric.
     histogram("latency.fault_ns");
@@ -53,30 +52,24 @@ MetricsRegistry::MetricsRegistry(unsigned ncpus_)
     histogram("latency.pmap_op_ns");
     histogram("latency.disk_ns");
     histogram("tlb.shootdown_wait_ns");
-    counter("tlb.shootdown_rounds");
-    counter("tlb.shootdown_remote_targets");
     MACH_ASSERT(defs.size() == metric::kNumBuiltins);
 }
 
 MetricId
-MetricsRegistry::registerMetric(const std::string &name, MetricKind kind,
+MetricsRegistry::registerMetric(const std::string &name,
                                 const std::uint64_t *bound)
 {
     auto it = byName.find(name);
     if (it != byName.end()) {
-        MACH_ASSERT(defs[it->second].kind == kind);
+        // A name is one histogram or one bound field, never both.
+        MACH_ASSERT(!bound && defs[it->second].hist);
         return MetricId{it->second};
     }
     Def def;
     def.name = name;
-    def.kind = kind;
     def.bound = bound;
-    if (!bound) {
-        if (kind == MetricKind::Histogram)
-            def.hists = std::make_unique<LatencyHistogram[]>(ncpus);
-        else
-            def.slots = std::make_unique<Slot[]>(ncpus);
-    }
+    if (!bound)
+        def.hist = std::make_unique<LatencyHistogram>();
     unsigned index = unsigned(defs.size());
     defs.push_back(std::move(def));
     byName.emplace(name, index);
@@ -84,15 +77,9 @@ MetricsRegistry::registerMetric(const std::string &name, MetricKind kind,
 }
 
 MetricId
-MetricsRegistry::counter(const std::string &name)
-{
-    return registerMetric(name, MetricKind::Counter, nullptr);
-}
-
-MetricId
 MetricsRegistry::histogram(const std::string &name)
 {
-    return registerMetric(name, MetricKind::Histogram, nullptr);
+    return registerMetric(name, nullptr);
 }
 
 MetricId
@@ -100,34 +87,15 @@ MetricsRegistry::bind(const std::string &name,
                       const std::uint64_t *storage)
 {
     MACH_ASSERT(storage != nullptr);
-    return registerMetric(name, MetricKind::Counter, storage);
+    return registerMetric(name, storage);
 }
 
 void
-MetricsRegistry::add(MetricId id, std::uint64_t delta, CpuId cpu)
+MetricsRegistry::record(MetricId id, SimTime ns)
 {
-    if (!id.valid())
-        return;
-    // Only owned counters have slots (not histograms or bound
-    // metrics), so the null check is also the kind check.
-    Slot *slots = defs[id.index].slots.get();
-    MACH_ASSERT(slots != nullptr);
-    // The simulator is single-threaded: a relaxed load+store bumps
-    // the shard without the locked read-modify-write an RMW atomic
-    // would cost on the fault hot path.
-    Slot &slot = slots[cpu < ncpus ? cpu : 0];
-    slot.v.store(slot.v.load(std::memory_order_relaxed) + delta,
-                 std::memory_order_relaxed);
-}
-
-void
-MetricsRegistry::record(MetricId id, SimTime ns, CpuId cpu)
-{
-    if (!id.valid())
-        return;
-    LatencyHistogram *hists = defs[id.index].hists.get();
-    MACH_ASSERT(hists != nullptr); // only histograms have shards
-    hists[cpu < ncpus ? cpu : 0].record(ns);
+    LatencyHistogram *hist = defs[id.index].hist.get();
+    MACH_ASSERT(hist != nullptr); // bound counters have none
+    hist->record(ns);
 }
 
 std::uint64_t
@@ -135,26 +103,19 @@ MetricsRegistry::value(MetricId id) const
 {
     if (!id.valid())
         return 0;
-    const Def &def = defs[id.index];
-    if (def.bound)
-        return *def.bound;
-    std::uint64_t sum = 0;
-    for (unsigned c = 0; c < ncpus; ++c)
-        sum += def.slots[c].v.load(std::memory_order_relaxed);
-    return sum;
+    const std::uint64_t *bound = defs[id.index].bound;
+    MACH_ASSERT(bound != nullptr);
+    return *bound;
 }
 
 LatencyHistogram
 MetricsRegistry::histogramValue(MetricId id) const
 {
-    LatencyHistogram merged;
     if (!id.valid())
-        return merged;
-    const Def &def = defs[id.index];
-    MACH_ASSERT(def.kind == MetricKind::Histogram);
-    for (unsigned c = 0; c < ncpus; ++c)
-        merged.merge(def.hists[c]);
-    return merged;
+        return {};
+    const LatencyHistogram *hist = defs[id.index].hist.get();
+    MACH_ASSERT(hist != nullptr);
+    return *hist;
 }
 
 MetricId
@@ -168,17 +129,11 @@ MetricsRegistry::Snapshot
 MetricsRegistry::snapshot() const
 {
     Snapshot snap;
-    for (unsigned i = 0; i < defs.size(); ++i) {
-        const Def &def = defs[i];
-        MetricId id{i};
-        switch (def.kind) {
-          case MetricKind::Counter:
-            snap.counters.emplace_back(def.name, value(id));
-            break;
-          case MetricKind::Histogram:
-            snap.histograms.emplace_back(def.name, histogramValue(id));
-            break;
-        }
+    for (const Def &def : defs) {
+        if (def.bound)
+            snap.counters.emplace_back(def.name, *def.bound);
+        else
+            snap.histograms.emplace_back(def.name, *def.hist);
     }
     auto byFirst = [](const auto &a, const auto &b) {
         return a.first < b.first;

@@ -1,30 +1,28 @@
 /**
  * @file
- * The VM metrics registry: the one owner of every counter and
- * histogram the simulator reports.
+ * The VM metrics registry: one name for every counter and histogram
+ * the simulator reports.
  *
- * A MetricsRegistry holds named counters and log2 latency
- * histograms.  Metrics come in two tiers:
+ * A MetricsRegistry holds two kinds of named metric:
  *
- *  - *bound* metrics wrap external storage (the paper-mandated
- *    vm_statistics counters in VmSys::stats keep their direct
- *    `++stats.x` form at zero overhead) and are exposed by name
- *    through snapshot();
- *  - *owned* metrics are allocated by the registry with one
- *    cache-line-padded relaxed-atomic slot per CPU, so the future
- *    host-threaded parallel kernel can increment them without
- *    contention; snapshot() merges the shards.
+ *  - *counters* are plain std::uint64_t fields owned by the layer
+ *    that counts them (VmSys::stats, the pageout daemon's counters,
+ *    the pmap layer's shootdown counters, the zones).  The registry
+ *    binds each once by name and reads it at snapshot time, so the
+ *    hot `++stats.x` form costs nothing extra and a counter and its
+ *    named view cannot disagree;
+ *  - *histograms* are log2 latency distributions the registry owns,
+ *    one per metric.
  *
- * The registry registers its built-in metrics (namespace metric
+ * The registry registers its built-in histograms (namespace metric
  * below) at fixed ids in its constructor, so their emit sites index
  * them directly.  The four per-operation latency histograms are
  * sampled only while a trace sink (src/sim/trace.hh) is attached;
- * the shootdown metrics whenever the registry is attached.
+ * the shootdown wait whenever the registry is attached.
  *
  * Cost discipline: the registry rides on the SimClock next to the
- * trace sink, every emit helper first tests that pointer (one
- * predictable branch plus one relaxed increment when a registry is
- * attached), and metrics never charge simulated time.
+ * trace sink, every emit helper first tests that pointer, and
+ * metrics never charge simulated time.
  *
  * The same header defines VmAccounting, the per-task / per-object
  * attribution record maintained at the vm_fault / vm_pageout emit
@@ -35,7 +33,6 @@
 #define MACH_SIM_METRICS_HH
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -49,13 +46,6 @@
 
 namespace mach
 {
-
-/** What a registered metric measures. */
-enum class MetricKind : std::uint8_t
-{
-    Counter = 0, //!< monotonically increasing event count
-    Histogram,   //!< log2-bucketed latency distribution
-};
 
 /**
  * A log2-bucketed histogram of simulated nanoseconds.  Cheap enough
@@ -132,8 +122,8 @@ struct MetricId
 };
 
 /**
- * The built-in metrics every registry registers in its constructor,
- * at these fixed ids.
+ * The built-in histograms every registry registers in its
+ * constructor, at these fixed ids.
  */
 namespace metric
 {
@@ -143,18 +133,14 @@ inline constexpr MetricId pmapOpNs{2};   //!< latency.pmap_op_ns
 inline constexpr MetricId diskNs{3};     //!< latency.disk_ns
 /** tlb.shootdown_wait_ns: one sample per immediate round. */
 inline constexpr MetricId shootdownWaitNs{4};
-/** tlb.shootdown_rounds: immediate dispatch rounds. */
-inline constexpr MetricId shootdownRounds{5};
-/** tlb.shootdown_remote_targets: IPIs summed over those rounds. */
-inline constexpr MetricId shootdownRemoteTargets{6};
-inline constexpr unsigned kNumBuiltins = 7;
+inline constexpr unsigned kNumBuiltins = 5;
 } // namespace metric
 
 /**
  * Attribution record for one task (via its VmMap) or one VmObject:
- * where that task's faults went, what I/O it caused.  Updated by the
- * inline helpers below while a registry is attached, read by
- * vmTaskInfo / the introspection tests.
+ * where that task's faults went, what I/O it caused.  Updated at the
+ * vm_fault / vm_pageout emit sites, read by vmTaskInfo / the
+ * introspection tests.
  */
 struct VmAccounting
 {
@@ -171,6 +157,12 @@ struct VmAccounting
         for (std::uint64_t k : faultsByKind)
             n += k;
         return n;
+    }
+
+    void
+    noteFault(TraceFaultKind kind)
+    {
+        ++faultsByKind[static_cast<unsigned>(kind)];
     }
 
     std::uint64_t
@@ -203,80 +195,67 @@ struct VmAccounting
 
 /**
  * The registry proper.  Registration (boot-time, cold) hands back
- * MetricIds; the emit paths use only those ids.  All mutation of
- * owned metrics is relaxed-atomic on a per-CPU shard.
+ * MetricIds; the emit paths use only those ids.
  */
 class MetricsRegistry
 {
   public:
-    /** One cache line per CPU so shards never false-share. */
-    struct alignas(64) Slot
-    {
-        std::atomic<std::uint64_t> v{0};
-    };
-
     /** Registers the built-ins of namespace metric. */
-    explicit MetricsRegistry(unsigned ncpus = 1);
+    MetricsRegistry();
 
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
 
     /** @name Registration (find-or-create by name) @{ */
-    MetricId counter(const std::string &name);
     MetricId histogram(const std::string &name);
 
     /**
-     * Expose an externally stored counter (e.g. a VmStatistics
-     * field) by name.  The storage must outlive the registry; it is
-     * read at snapshot time only.
+     * Expose a counter field (e.g. a VmStatistics field) by name.
+     * The storage must outlive the registry; it is read at snapshot
+     * time only.
      */
     MetricId bind(const std::string &name, const std::uint64_t *storage);
     /** @} */
 
-    /** @name Emission (hot; relaxed, sharded) @{ */
-    void add(MetricId id, std::uint64_t delta, CpuId cpu);
-    void record(MetricId id, SimTime ns, CpuId cpu);
-    /** @} */
+    /** Record a sample into histogram @p id (hot). */
+    void record(MetricId id, SimTime ns);
 
-    /** @name Snapshot / query (cold; merges shards) @{ */
-    /** Merged value of a counter or bound metric. */
+    /** @name Snapshot / query (cold) @{ */
+    /** Value of a bound counter; 0 for an invalid id. */
     std::uint64_t value(MetricId id) const;
-    /** Merged histogram. */
+    /** Histogram @p id; empty for an invalid id. */
     LatencyHistogram histogramValue(MetricId id) const;
 
     struct Snapshot
     {
-        /** name -> merged value, counters and bound metrics. */
+        /** name -> value of every bound counter. */
         std::vector<std::pair<std::string, std::uint64_t>> counters;
-        /** name -> merged distribution. */
+        /** name -> distribution of every histogram. */
         std::vector<std::pair<std::string, LatencyHistogram>> histograms;
 
         /** Convenience lookup; 0 when absent. */
         std::uint64_t counterValue(const std::string &name) const;
     };
 
-    /** Merge every shard of every metric, sorted by name. */
+    /** Every metric's current value, sorted by name. */
     Snapshot snapshot() const;
 
     MetricId find(const std::string &name) const;
     std::size_t size() const { return defs.size(); }
-    unsigned numCpus() const { return ncpus; }
     /** @} */
 
   private:
+    /** A bound counter (bound set) or an owned histogram (hist set). */
     struct Def
     {
         std::string name;
-        MetricKind kind = MetricKind::Counter;
-        const std::uint64_t *bound = nullptr; //!< external storage
-        std::unique_ptr<Slot[]> slots;        //!< ncpus scalar shards
-        std::unique_ptr<LatencyHistogram[]> hists; //!< ncpus shards
+        const std::uint64_t *bound = nullptr;
+        std::unique_ptr<LatencyHistogram> hist;
     };
 
-    MetricId registerMetric(const std::string &name, MetricKind kind,
+    MetricId registerMetric(const std::string &name,
                             const std::uint64_t *bound);
 
-    unsigned ncpus;
     std::vector<Def> defs;
     std::unordered_map<std::string, unsigned> byName;
 };
@@ -284,26 +263,18 @@ class MetricsRegistry
 /**
  * @name Emit helpers
  *
- * The per-call-site cost: one branch on the clock's registry pointer.
- * CPU attribution reuses the clock's mirrored current CPU (see
- * SimClock::traceCpu).
+ * The per-call-site cost: one branch on the clock's registry pointer
+ * (null before VmSys attaches it and after VmSys is gone, while the
+ * pmaps that outlive it still run).
  * @{
  */
-
-/** Bump a counter by @p delta. */
-inline void
-metricAdd(SimClock &clock, MetricId id, std::uint64_t delta = 1)
-{
-    if (MetricsRegistry *m = clock.metricsRegistry())
-        m->add(id, delta, clock.traceCpu());
-}
 
 /** Record a sample into a registered histogram. */
 inline void
 metricRecord(SimClock &clock, MetricId id, SimTime ns)
 {
     if (MetricsRegistry *m = clock.metricsRegistry())
-        m->record(id, ns, clock.traceCpu());
+        m->record(id, ns);
 }
 
 /**
@@ -317,26 +288,6 @@ metricLatency(SimClock &clock, MetricId id, SimTime ns)
 {
     if (clock.traceSink())
         metricRecord(clock, id, ns);
-}
-
-/**
- * Attribute one resolved fault to an accounting record (a task's map
- * or the satisfying object).  Enabled by the same registry switch so
- * a detached system pays one branch.
- */
-inline void
-acctFault(SimClock &clock, VmAccounting *acct, TraceFaultKind kind)
-{
-    if (acct && clock.metricsRegistry())
-        ++acct->faultsByKind[static_cast<unsigned>(kind)];
-}
-
-/** Attribute one laundered page to its owning object's record. */
-inline void
-acctPageout(SimClock &clock, VmAccounting *acct)
-{
-    if (acct && clock.metricsRegistry())
-        ++acct->pageouts;
 }
 
 /** @} */

@@ -35,24 +35,12 @@ VmSys::fault(VmMap &map, VmOffset va, FaultType type, VmPage **out_page)
 
     VmOffset page_va = pageTrunc(va);
 
-    // One hoisted test covers every emission below.  VmSys attaches
-    // its registry at construction, so this is true unless the
-    // registry was detached (setIntrospectionEnabled(false)) and no
-    // sink is attached; then the whole block is one branch.
-    const bool introspecting =
-        machine.clock().traceSink() != nullptr ||
-        machine.clock().metricsRegistry() != nullptr;
-
-    if (introspecting) {
-        traceEmit(machine.clock(), TraceEventType::FaultBegin,
-                  static_cast<std::uint8_t>(type), page_va, 0);
-    }
+    traceEmit(machine.clock(), TraceEventType::FaultBegin,
+              static_cast<std::uint8_t>(type), page_va, 0);
     SimStopwatch faultWatch(machine.clock());
     TraceFaultKind resolution = TraceFaultKind::Resident;
     VmObject *res_object = nullptr;  //!< object that satisfied it
     auto faultDone = [&]() {
-        if (!introspecting)
-            return;
         metricLatency(machine.clock(), metric::faultNs,
                       faultWatch.elapsed());
         traceEmit(machine.clock(), TraceEventType::FaultEnd,
@@ -61,9 +49,9 @@ VmSys::fault(VmMap &map, VmOffset va, FaultType type, VmPage **out_page)
                   res_object ? res_object->id : 0);
         // Attribute the fault to the faulting task (its map) and to
         // the object it was resolved in.
-        acctFault(machine.clock(), &map.acct, resolution);
+        map.acct.noteFault(resolution);
         if (res_object)
-            acctFault(machine.clock(), &res_object->acct, resolution);
+            res_object->acct.noteFault(resolution);
     };
 
     // NS32082 chip-bug workaround (paper section 5.1): the hardware
@@ -411,8 +399,7 @@ VmSys::objectPage(VmObject *object, VmOffset offset, bool for_write,
                           static_cast<std::uint8_t>(
                               TraceFaultKind::Error),
                           offset, watch.elapsed(), object->id);
-                acctFault(machine.clock(), &object->acct,
-                          TraceFaultKind::Error);
+                object->acct.noteFault(TraceFaultKind::Error);
                 if (kr_out)
                     *kr_out = KernReturn::MemoryError;
                 return nullptr;
@@ -429,9 +416,8 @@ VmSys::objectPage(VmObject *object, VmOffset offset, bool for_write,
                       provided ? TraceFaultKind::Pagein
                                : TraceFaultKind::ZeroFill),
                   offset, watch.elapsed(), object->id);
-        acctFault(machine.clock(), &object->acct,
-                  provided ? TraceFaultKind::Pagein
-                           : TraceFaultKind::ZeroFill);
+        object->acct.noteFault(provided ? TraceFaultKind::Pagein
+                                        : TraceFaultKind::ZeroFill);
     }
     if (for_write)
         page->dirty = true;

@@ -277,6 +277,26 @@ VmMap::checkRange(VmOffset start, VmSize size) const
 }
 
 KernReturn
+VmMap::checkReadable(VmOffset start, VmOffset end)
+{
+    Iter it;
+    if (!lookupEntry(start, it))
+        return KernReturn::InvalidAddress;
+    VmOffset covered = start;
+    while (covered < end) {
+        if (it == entries.end() || it->start > covered)
+            return KernReturn::InvalidAddress;
+        // A sharing map's entries are checked when the copy recurses
+        // into it.
+        if (!it->isSubMap() && !protIncludes(it->protection, VmProt::Read))
+            return KernReturn::ProtectionFailure;
+        covered = it->end;
+        ++it;
+    }
+    return KernReturn::Success;
+}
+
+KernReturn
 VmMap::deallocate(VmOffset start, VmSize size)
 {
     if (size == 0)
@@ -625,22 +645,9 @@ VmMap::virtualCopy(VmMap &dst_map, VmOffset src, VmSize size,
     if (&dst_map == this && dst < src_end && dst + size > src)
         return KernReturn::InvalidArgument;
 
-    // The whole source range must be allocated and readable.
-    {
-        Iter probe;
-        if (!lookupEntry(src, probe))
-            return KernReturn::InvalidAddress;
-        VmOffset covered = src;
-        while (covered < src_end) {
-            if (probe == entries.end() || probe->start > covered)
-                return KernReturn::InvalidAddress;
-            if (!probe->isSubMap() &&
-                !protIncludes(probe->protection, VmProt::Read))
-                return KernReturn::ProtectionFailure;
-            covered = probe->end;
-            ++probe;
-        }
-    }
+    if (KernReturn kr = checkReadable(src, src_end);
+        kr != KernReturn::Success)
+        return kr;
 
     // Destination range is replaced.
     KernReturn kr = dst_map.deallocate(dst, size);
@@ -703,22 +710,13 @@ VmMap::copyIn(VmOffset src, VmSize size, std::list<VmMapEntry> *out)
         return KernReturn::InvalidArgument;
     if (src % sys.pageSize())
         return KernReturn::InvalidArgument;
+    if (KernReturn kr = checkRange(src, size); kr != KernReturn::Success)
+        return kr;
     size = sys.pageRound(size);
     VmOffset src_end = src + size;
-
-    // Validate coverage.
-    {
-        Iter probe;
-        if (!lookupEntry(src, probe))
-            return KernReturn::InvalidAddress;
-        VmOffset covered = src;
-        while (covered < src_end) {
-            if (probe == entries.end() || probe->start > covered)
-                return KernReturn::InvalidAddress;
-            covered = probe->end;
-            ++probe;
-        }
-    }
+    if (KernReturn kr = checkReadable(src, src_end);
+        kr != KernReturn::Success)
+        return kr;
 
     Iter it;
     lookupEntry(src, it);

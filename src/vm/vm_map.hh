@@ -222,8 +222,7 @@ class VmMap
     bool useHint = true;
 
     /** @name Introspection (src/sim/metrics.hh) @{ */
-    /** Per-task attribution: faults resolved for this map, by kind.
-     *  Maintained only while a metrics registry is attached. */
+    /** Per-task attribution: faults resolved for this map, by kind. */
     VmAccounting acct;
 
     /** Owning task id (0 = kernel / sharing map); stamped by
@@ -238,6 +237,14 @@ class VmMap
 
     /** Find the entry containing @p addr (hint-assisted). */
     bool lookupEntry(VmOffset addr, Iter &out);
+
+    /**
+     * The source check of a virtual copy (vm_copy, out-of-line
+     * copyIn): [start, end) must be fully allocated
+     * (KernReturn::InvalidAddress) and readable
+     * (KernReturn::ProtectionFailure).
+     */
+    KernReturn checkReadable(VmOffset start, VmOffset end);
 
     /**
      * Erase @p it, keeping the lookup hint safe.  Every erase of a

@@ -135,8 +135,7 @@ VmObject::destroyPages()
         // wired-page count stays consistent with the queues.
         while (page->wireCount > 0)
             sys.resident.unwire(page);
-        sys.pmaps.resetAttrs(page->physAddr);
-        sys.resident.free(page);
+        sys.freePage(page);
     }
 }
 
@@ -216,7 +215,7 @@ VmObject::collapse()
                     } else {
                         sys.pmaps.removeAll(p->physAddr,
                                             ShootdownMode::Immediate);
-                        sys.resident.free(p);
+                        sys.freePage(p);
                     }
                 }
             }

@@ -102,7 +102,7 @@ class VmObject
     const std::uint64_t id;
 
     /** Per-object attribution (faults resolved here, pages
-     *  laundered); maintained only while introspection is on. */
+     *  laundered). */
     VmAccounting acct;
 
     /** Resident pages of this object currently wired. */

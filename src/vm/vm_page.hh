@@ -31,7 +31,6 @@
 #include "base/types.hh"
 #include "base/zone.hh"
 #include "hw/machine.hh"
-#include "sim/metrics.hh"
 
 namespace mach
 {
@@ -103,32 +102,6 @@ struct VmStatistics
     std::uint64_t pageoutRetries = 0;  //!< pageout attempts repeated
     std::uint64_t transientRecoveries = 0; //!< retries that succeeded
     std::uint64_t busyPageWaits = 0;   //!< faults that waited on busy
-    /** @} */
-
-    /** @name TLB shootdown counters (pmap layer, section 5.2) @{ */
-    std::uint64_t shootdownIpis = 0;   //!< IPIs sent for consistency
-    std::uint64_t deferredFlushes = 0; //!< flushes queued to tick
-    std::uint64_t lazySkips = 0;       //!< flushes skipped (case 3)
-    std::uint64_t shootdownsCoalesced = 0; //!< absorbed by a batch
-    std::uint64_t batchedIpis = 0;     //!< IPIs sent by batch closes
-    std::uint64_t batchRangesMerged = 0; //!< ranges merged at close
-    std::uint64_t batchFlushes = 0;    //!< coalesced flush rounds
-    /** @} */
-
-    /**
-     * @name Per-operation latency histograms (simulated ns)
-     *
-     * Copied from the metrics registry's built-in histograms
-     * (src/sim/metrics.hh).  The shootdown waits are sampled whenever
-     * the registry is attached; the other four only while a
-     * TraceSink is attached to the machine's clock.
-     * @{
-     */
-    LatencyHistogram faultLatency;     //!< vm_fault entry→resolution
-    LatencyHistogram pageoutLatency;   //!< pageOut() per page
-    LatencyHistogram pmapOpLatency;    //!< pmap enter/remove/protect
-    LatencyHistogram shootdownLatency; //!< immediate dispatch rounds
-    LatencyHistogram diskLatency;      //!< per disk transfer
     /** @} */
 };
 

@@ -31,9 +31,9 @@ VmSys::pageoutScan()
     // terminates.
     std::size_t budget = resident.totalPages() * 4 + 64;
 
-    metricAdd(machine.clock(), daemonMetrics.passes);
+    ++pageoutStats.passes;
     if (resident.freeCount() < freeTarget)
-        metricAdd(machine.clock(), daemonMetrics.wakeups);
+        ++pageoutStats.wakeups;
     traceEmit(machine.clock(), TraceEventType::PageoutBegin, 0,
               resident.freeCount(), freeTarget);
     std::uint64_t scanned = 0, reclaimed = 0, laundered = 0;
@@ -130,9 +130,9 @@ VmSys::pageoutScan()
 
     traceEmit(machine.clock(), TraceEventType::PageoutEnd, 0, scanned,
               reclaimed, laundered);
-    metricAdd(machine.clock(), daemonMetrics.scanned, scanned);
-    metricAdd(machine.clock(), daemonMetrics.reclaimed, reclaimed);
-    metricAdd(machine.clock(), daemonMetrics.laundered, laundered);
+    pageoutStats.scanned += scanned;
+    pageoutStats.reclaimed += reclaimed;
+    pageoutStats.laundered += laundered;
 }
 
 void
@@ -169,7 +169,7 @@ VmSys::pageOut(VmPage *page)
     }
 
     ++stats.pageouts;
-    acctPageout(machine.clock(), &object->acct);
+    ++object->acct.pageouts;
     page->dirty = false;
     freePage(page);
 

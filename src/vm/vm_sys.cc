@@ -10,17 +10,14 @@ namespace mach
 
 VmSys::VmSys(Machine &machine, PmapSystem &pmaps, VmSize mach_page_size)
     : machine(machine), pmaps(pmaps),
-      resident(machine, mach_page_size),
-      metrics(machine.numCpus())
+      resident(machine, mach_page_size)
 {
     MACH_ASSERT(pmaps.machPageSize() == mach_page_size);
     // Keep ~2% of memory free, start reclaiming at 1%.
     freeMin = std::max<std::size_t>(4, resident.totalPages() / 100);
     freeTarget = std::max<std::size_t>(8, resident.totalPages() / 50);
 
-    // Expose the vm_statistics counters through the registry.  The
-    // storage stays in `stats` (and in the pmap layer for the
-    // shootdown counters) so the increment sites cost nothing extra.
+    // Name every counter field: this list is the one list of names.
     metrics.bind("vm.faults", &stats.faults);
     metrics.bind("vm.zero_fills", &stats.zeroFillCount);
     metrics.bind("vm.cow_faults", &stats.cowFaults);
@@ -39,6 +36,7 @@ VmSys::VmSys(Machine &machine, PmapSystem &pmaps, VmSize mach_page_size)
     metrics.bind("io.pagein_retries", &stats.pageinRetries);
     metrics.bind("io.pageout_retries", &stats.pageoutRetries);
     metrics.bind("io.transient_recoveries", &stats.transientRecoveries);
+    metrics.bind("tlb.shootdown_rounds", &pmaps.shootdownRoundSeq);
     metrics.bind("tlb.shootdown_ipis", &pmaps.shootdownIpis);
     metrics.bind("tlb.deferred_flushes", &pmaps.deferredFlushes);
     metrics.bind("tlb.lazy_skips", &pmaps.lazySkips);
@@ -56,21 +54,18 @@ VmSys::VmSys(Machine &machine, PmapSystem &pmaps, VmSize mach_page_size)
     metrics.bind("zone.radix_node.chunks", &radixZone.chunks);
     metrics.bind("zone.radix_node.high_water", &radixZone.highWater);
 
-    daemonMetrics.wakeups = metrics.counter("pageout.wakeups");
-    daemonMetrics.passes = metrics.counter("pageout.passes");
-    daemonMetrics.scanned = metrics.counter("pageout.pages_scanned");
-    daemonMetrics.reclaimed =
-        metrics.counter("pageout.pages_reclaimed");
-    daemonMetrics.laundered =
-        metrics.counter("pageout.pages_laundered");
+    metrics.bind("pageout.wakeups", &pageoutStats.wakeups);
+    metrics.bind("pageout.passes", &pageoutStats.passes);
+    metrics.bind("pageout.pages_scanned", &pageoutStats.scanned);
+    metrics.bind("pageout.pages_reclaimed", &pageoutStats.reclaimed);
+    metrics.bind("pageout.pages_laundered", &pageoutStats.laundered);
 
-    setIntrospectionEnabled(true);
+    machine.clock().setMetricsRegistry(&metrics);
 }
 
 VmSys::~VmSys()
 {
-    if (introspectionEnabled())
-        machine.clock().setMetricsRegistry(nullptr);
+    machine.clock().setMetricsRegistry(nullptr);
     // Reclaim objects still sitting in the cache.  Their pagers may
     // already be gone (the kernel writes dirty data back with
     // flushCache() in its own destructor, while pagers and disks
@@ -170,18 +165,6 @@ VmSys::statistics() const
 {
     VmStatistics st = stats;
     resident.fillStatistics(st);
-    st.shootdownIpis = pmaps.shootdownIpis;
-    st.deferredFlushes = pmaps.deferredFlushes;
-    st.lazySkips = pmaps.lazySkips;
-    st.shootdownsCoalesced = pmaps.shootdownsCoalesced;
-    st.batchedIpis = pmaps.batchedIpis;
-    st.batchRangesMerged = pmaps.batchRangesMerged;
-    st.batchFlushes = pmaps.batchFlushes;
-    st.faultLatency = metrics.histogramValue(metric::faultNs);
-    st.pageoutLatency = metrics.histogramValue(metric::pageoutNs);
-    st.pmapOpLatency = metrics.histogramValue(metric::pmapOpNs);
-    st.shootdownLatency = metrics.histogramValue(metric::shootdownWaitNs);
-    st.diskLatency = metrics.histogramValue(metric::diskNs);
     return st;
 }
 

@@ -8,9 +8,10 @@
  * to its VmSys; the only machine-dependent state it touches is
  * reached through the PmapSystem interface.
  *
- * VmSys also owns the metrics registry: every counter and histogram
- * the VM and pmap layers report, and the vm_statistics snapshot of
- * Table 2-1, is read from that one registry.
+ * VmSys also owns the metrics registry.  Every VM and pmap counter
+ * is a plain field (stats, pageoutStats, the PmapSystem statistics,
+ * the zones) that the constructor binds once by name; the registry
+ * itself owns only the latency histograms.
  */
 
 #ifndef MACH_VM_VM_SYS_HH
@@ -72,54 +73,38 @@ class VmSys
 
     /**
      * The ad-hoc counters of vm_statistics (Table 2-1).  Every field
-     * is registered with the metrics registry below at construction
-     * (as a *bound* metric, so the hot `++stats.x` form keeps its
-     * zero cost), which makes statistics() a view over the registry.
+     * is bound by name into the metrics registry below, so the hot
+     * `++stats.x` form costs nothing extra.
      */
     VmStatistics stats;
+
+    /** Pageout-daemon internals, bound as pageout.* (vm_pageout.cc). */
+    struct PageoutStats
+    {
+        std::uint64_t wakeups = 0;   //!< passes entered with free < target
+        std::uint64_t passes = 0;    //!< pageoutScan() invocations
+        std::uint64_t scanned = 0;   //!< inactive pages examined
+        std::uint64_t reclaimed = 0; //!< pages freed (clean or laundered)
+        std::uint64_t laundered = 0; //!< dirty pages pushed to a pager
+    };
+    PageoutStats pageoutStats;
 
     /**
      * @name Introspection (src/sim/metrics.hh)
      *
-     * The registry owns every named VM metric: the bound
-     * VmStatistics counters above, the pageout-daemon internals
-     * (wakeups, pages scanned/reclaimed/laundered per pass) and the
-     * built-ins — the pmap layer's shootdown contention metrics and
-     * the latency histograms statistics() reports.  It is attached
-     * to the machine's clock at construction; detaching it turns all
-     * owned-metric and per-task / per-object accounting emission into
-     * a single dead branch.
+     * The registry names every counter field above, the pmap layer's
+     * shootdown counters and the zones, and owns the latency
+     * histograms.  It is attached to the machine's clock for this
+     * VmSys's lifetime.
      * @{
      */
     MetricsRegistry metrics;
 
-    void
-    setIntrospectionEnabled(bool on)
-    {
-        machine.clock().setMetricsRegistry(on ? &metrics : nullptr);
-    }
-    bool
-    introspectionEnabled() const
-    {
-        return machine.clock().metricsRegistry() == &metrics;
-    }
-
-    /** Merged name -> value view of every registered metric. */
+    /** Name -> value view of every registered metric. */
     MetricsRegistry::Snapshot metricsSnapshot() const
     {
         return metrics.snapshot();
     }
-
-    /** Pageout-daemon metric handles (vm_pageout.cc emit sites). */
-    struct DaemonMetrics
-    {
-        MetricId wakeups;   //!< passes entered with free < target
-        MetricId passes;    //!< pageoutScan() invocations
-        MetricId scanned;   //!< inactive pages examined
-        MetricId reclaimed; //!< pages freed (clean or laundered)
-        MetricId laundered; //!< dirty pages pushed to a pager
-    };
-    DaemonMetrics daemonMetrics;
     /** @} */
 
     /** Pager used for internal objects that must be paged out. */
@@ -272,7 +257,7 @@ class VmSys
     /** Next VmObject::id (stable identity for trace attribution). */
     std::uint64_t nextObjectId = 1;
 
-    /** Fill a vm_statistics snapshot (Table 2-1). */
+    /** Fill a vm_statistics snapshot (Table 2-1): stats plus queues. */
     VmStatistics statistics() const;
 
     /** Charge machine-independent software time. */

@@ -35,7 +35,7 @@ struct VmStatistics;
 struct TaskVmInfo
 {
     /** Faults resolved for this task, by kind, + pageouts charged
-     *  to the objects it maps (zero unless introspection is on). */
+     *  to the objects it maps. */
     VmAccounting acct;
 
     VmSize virtualSize = 0;       //!< bytes of mapped address space

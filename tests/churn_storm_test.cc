@@ -37,7 +37,8 @@ class ChurnStormTest : public ::testing::Test
         spec = test::tinySpec(ArchType::Vax, 4);
         kernel = std::make_unique<Kernel>(spec);
         page = kernel->pageSize();
-        ASSERT_TRUE(kernel->vm->introspectionEnabled());
+        ASSERT_EQ(kernel->machine.clock().metricsRegistry(),
+                  &kernel->vm->metrics);
     }
 
     /**

@@ -254,6 +254,31 @@ TEST_P(ExternalPagerTest, FlushRequestDestroysCachedPages)
     EXPECT_EQ(b, test::pattern(page, 46)[0]);
 }
 
+TEST_P(ExternalPagerTest, FlushRequestSkipsWiredPages)
+{
+    // pager_flush_request must not free a wired page: it stays
+    // resident and readable with its data, and is not re-requested.
+    auto data = test::pattern(page, 47);
+    user->store[0] = data;
+    VmOffset addr = mapUserObject();
+    ASSERT_EQ(vmWire(*kernel->vm, task->map(), addr, page, true),
+              KernReturn::Success);
+    ASSERT_EQ(user->requests, 1);
+
+    proxy->pagerFlushRequest(0, page);
+    user->store[0] = test::pattern(page, 48);
+    std::vector<std::uint8_t> out(page);
+    ASSERT_EQ(kernel->taskRead(*task, addr, out.data(), page),
+              KernReturn::Success);
+    EXPECT_EQ(out, data);
+    EXPECT_EQ(user->requests, 1);
+    ASSERT_NE(proxy->managedObject()->pageAt(0), nullptr);
+    EXPECT_EQ(proxy->managedObject()->pageAt(0)->wireCount, 1u);
+
+    ASSERT_EQ(vmWire(*kernel->vm, task->map(), addr, page, false),
+              KernReturn::Success);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllArchitectures, ExternalPagerTest,
     ::testing::ValuesIn(test::allArchs()),

@@ -32,7 +32,8 @@ class IntrospectionTest : public ::testing::Test
         spec = test::tinySpec(ArchType::Vax, 4);
         kernel = std::make_unique<Kernel>(spec);
         page = kernel->pageSize();
-        ASSERT_TRUE(kernel->vm->introspectionEnabled());
+        ASSERT_EQ(kernel->machine.clock().metricsRegistry(),
+                  &kernel->vm->metrics);
     }
 
     MachineSpec spec;
@@ -151,22 +152,10 @@ TEST_F(IntrospectionTest, RegistrySnapshotAgreesWithBoundCounters)
     EXPECT_EQ(snap.counterValue("vm.zero_fills"),
               kernel->vm->stats.zeroFillCount);
     EXPECT_GT(snap.counterValue("vm.faults"), 0u);
-
-    // Detached: accounting stops, bound counters keep running.
-    std::uint64_t acct_before =
-        task->vmInfo().acct.zeroFills();
-    kernel->vm->setIntrospectionEnabled(false);
-    ASSERT_EQ(kernel->taskTouch(*task, addr, 4 * page,
-                                AccessType::Read),
-              KernReturn::Success);
-    VmOffset addr2 = 0;
-    ASSERT_EQ(task->map().allocate(&addr2, page, true),
-              KernReturn::Success);
-    ASSERT_EQ(kernel->taskTouch(*task, addr2, page,
-                                AccessType::Write),
-              KernReturn::Success);
-    EXPECT_EQ(task->vmInfo().acct.zeroFills(), acct_before);
-    kernel->vm->setIntrospectionEnabled(true);
+    EXPECT_EQ(snap.counterValue("tlb.shootdown_rounds"),
+              kernel->vm->pmaps.shootdownRoundSeq);
+    EXPECT_EQ(snap.counterValue("tlb.shootdown_ipis"),
+              kernel->vm->pmaps.shootdownIpis);
 }
 
 TEST_F(IntrospectionTest, DaemonMetricsCountPageoutPasses)
@@ -195,6 +184,10 @@ TEST_F(IntrospectionTest, DaemonMetricsCountPageoutPasses)
     EXPECT_GT(snap.counterValue("pageout.pages_laundered"), 0u);
     EXPECT_EQ(snap.counterValue("vm.pageouts"),
               small.vm->stats.pageouts);
+    EXPECT_EQ(snap.counterValue("pageout.passes"),
+              small.vm->pageoutStats.passes);
+    EXPECT_EQ(snap.counterValue("pageout.pages_laundered"),
+              small.vm->pageoutStats.laundered);
 
     // The laundered pages were attributed to the owning object.
     VmMap::LookupResult lr;

@@ -9,6 +9,7 @@
 #include "ipc/port.hh"
 #include "kern/kernel.hh"
 #include "test_util.hh"
+#include "vm/vm_user.hh"
 
 namespace mach
 {
@@ -106,6 +107,30 @@ TEST_P(IpcVmTest, OutOfLineMemoryMovesWithoutCopying)
     ASSERT_EQ(kernel->taskRead(*receiver, dst, out.data(), size),
               KernReturn::Success);
     EXPECT_EQ(out, data);
+}
+
+TEST_P(IpcVmTest, OutOfLineMemoryNeedsReadAccess)
+{
+    // An out-of-line copy reads its source as vm_copy does: a range
+    // the sender cannot read is refused, and nothing is attached.
+    VmSize size = 2 * page;
+    VmOffset src = 0;
+    ASSERT_EQ(sender->map().allocate(&src, size, true),
+              KernReturn::Success);
+    ASSERT_EQ(sender->map().protect(src + page, page, false,
+                                    VmProt::None),
+              KernReturn::Success);
+
+    Message msg(MsgId::UserBase);
+    EXPECT_EQ(msg.attachMemory(sender->map(), src, size),
+              KernReturn::ProtectionFailure);
+    EXPECT_FALSE(msg.hasMemory());
+    EXPECT_EQ(vmCopy(*kernel->vm, sender->map(), src, size, src + size),
+              KernReturn::ProtectionFailure);
+
+    // The readable half alone still goes out.
+    EXPECT_EQ(msg.attachMemory(sender->map(), src, page),
+              KernReturn::Success);
 }
 
 TEST_P(IpcVmTest, SenderWritesAfterSendDontLeakToReceiver)

@@ -1,9 +1,9 @@
 /**
  * @file
  * The metrics registry (src/sim/metrics.hh): histogram math,
- * registration semantics, the built-in ids, per-CPU shard merging,
- * bound metrics, snapshots, histogram bucket edges, and the
- * clock-attached emit helpers.
+ * registration semantics, the built-in ids, bound counters,
+ * snapshots, histogram bucket edges, and the clock-attached emit
+ * helpers.
  */
 
 #include <algorithm>
@@ -79,31 +79,22 @@ TEST(LatencyHistogramTest, QuantileMergeAndReset)
 
 TEST(MetricsRegistryTest, RegistrationFindsOrCreates)
 {
-    MetricsRegistry reg(2);
-    MetricId a = reg.counter("vm.faults");
-    MetricId b = reg.counter("vm.faults");
-    MetricId c = reg.counter("vm.pageins");
+    MetricsRegistry reg;
+    MetricId a = reg.histogram("vm.fault_ns");
+    MetricId b = reg.histogram("vm.fault_ns");
+    MetricId c = reg.histogram("vm.pagein_ns");
     EXPECT_TRUE(a.valid());
     EXPECT_EQ(a.index, b.index);
     EXPECT_NE(a.index, c.index);
     EXPECT_EQ(reg.size(), metric::kNumBuiltins + 2);
 
-    EXPECT_EQ(reg.find("vm.faults").index, a.index);
+    EXPECT_EQ(reg.find("vm.fault_ns").index, a.index);
     EXPECT_FALSE(reg.find("no.such").valid());
-}
-
-TEST(MetricsRegistryTest, CounterShardsMergeAcrossCpus)
-{
-    MetricsRegistry reg(4);
-    MetricId id = reg.counter("c");
-    for (CpuId cpu = 0; cpu < 4; ++cpu)
-        reg.add(id, cpu + 1, cpu); // 1+2+3+4
-    EXPECT_EQ(reg.value(id), 10u);
 }
 
 TEST(MetricsRegistryTest, BuiltinsHaveFixedIds)
 {
-    MetricsRegistry reg(2);
+    MetricsRegistry reg;
     EXPECT_EQ(reg.size(), metric::kNumBuiltins);
     EXPECT_EQ(reg.find("latency.fault_ns").index, metric::faultNs.index);
     EXPECT_EQ(reg.find("latency.pageout_ns").index,
@@ -113,25 +104,21 @@ TEST(MetricsRegistryTest, BuiltinsHaveFixedIds)
     EXPECT_EQ(reg.find("latency.disk_ns").index, metric::diskNs.index);
     EXPECT_EQ(reg.find("tlb.shootdown_wait_ns").index,
               metric::shootdownWaitNs.index);
-    EXPECT_EQ(reg.find("tlb.shootdown_rounds").index,
-              metric::shootdownRounds.index);
-    EXPECT_EQ(reg.find("tlb.shootdown_remote_targets").index,
-              metric::shootdownRemoteTargets.index);
     // Registering a built-in by name finds it rather than adding one.
-    EXPECT_EQ(reg.counter("tlb.shootdown_rounds").index,
-              metric::shootdownRounds.index);
+    EXPECT_EQ(reg.histogram("tlb.shootdown_wait_ns").index,
+              metric::shootdownWaitNs.index);
     EXPECT_EQ(reg.size(), metric::kNumBuiltins);
 }
 
-TEST(MetricsRegistryTest, HistogramShardsMergeAndKeepEdges)
+TEST(MetricsRegistryTest, HistogramKeepsBucketEdges)
 {
-    MetricsRegistry reg(2);
+    MetricsRegistry reg;
     MetricId id = reg.histogram("h");
     // Exact bucket-edge values: bucket index is bit_width(v), so 7
     // and 8 land in different buckets (upper bounds 7 and 15).
-    reg.record(id, 7, 0);
-    reg.record(id, 8, 1);
-    reg.record(id, 8, 0);
+    reg.record(id, 7);
+    reg.record(id, 8);
+    reg.record(id, 8);
     LatencyHistogram h = reg.histogramValue(id);
     EXPECT_EQ(h.count(), 3u);
     EXPECT_EQ(h.min(), 7u);
@@ -145,7 +132,7 @@ TEST(MetricsRegistryTest, HistogramShardsMergeAndKeepEdges)
 TEST(MetricsRegistryTest, BoundMetricReadsExternalStorage)
 {
     std::uint64_t external = 0;
-    MetricsRegistry reg(1);
+    MetricsRegistry reg;
     MetricId id = reg.bind("vm.external", &external);
     EXPECT_EQ(reg.value(id), 0u);
     external = 42; // the ++stats.x hot path, unchanged
@@ -154,23 +141,20 @@ TEST(MetricsRegistryTest, BoundMetricReadsExternalStorage)
 
 TEST(MetricsRegistryTest, SnapshotIsSortedAndComplete)
 {
-    std::uint64_t external = 9;
-    MetricsRegistry reg(2);
+    std::uint64_t external = 9, other = 3;
+    MetricsRegistry reg;
     reg.bind("b.bound", &external);
-    MetricId c = reg.counter("a.counter");
+    reg.bind("a.bound", &other);
     MetricId h = reg.histogram("m.hist");
-    reg.add(c, 3, 1);
-    reg.record(h, 100, 1);
+    reg.record(h, 100);
 
-    // Two more counters and five more histograms are built-ins.
+    // Five more histograms are built-ins.
     MetricsRegistry::Snapshot s = reg.snapshot();
     auto byName = [](const auto &a, const auto &b) {
         return a.first < b.first;
     };
-    ASSERT_EQ(s.counters.size(), 4u);
-    EXPECT_TRUE(std::is_sorted(s.counters.begin(), s.counters.end(),
-                               byName));
-    EXPECT_EQ(s.counters[0].first, "a.counter");
+    ASSERT_EQ(s.counters.size(), 2u);
+    EXPECT_EQ(s.counters[0].first, "a.bound");
     EXPECT_EQ(s.counters[0].second, 3u);
     EXPECT_EQ(s.counters[1].first, "b.bound");
     EXPECT_EQ(s.counters[1].second, 9u);
@@ -187,52 +171,41 @@ TEST(MetricsRegistryTest, SnapshotIsSortedAndComplete)
 TEST(MetricsHelperTest, DetachedClockCostsOneBranch)
 {
     SimClock clock;
-    MetricsRegistry reg(1);
-    MetricId id = reg.counter("c");
+    MetricsRegistry reg;
+    MetricId id = reg.histogram("h");
 
-    // No registry attached: helpers are no-ops.
-    metricAdd(clock, id);
-    EXPECT_EQ(reg.value(id), 0u);
-
-    VmAccounting acct;
-    acctFault(clock, &acct, TraceFaultKind::ZeroFill);
-    acctPageout(clock, &acct);
-    EXPECT_EQ(acct.faults(), 0u);
-    EXPECT_EQ(acct.pageouts, 0u);
+    // No registry attached: the helper is a no-op.
+    metricRecord(clock, id, 1000);
+    EXPECT_EQ(reg.histogramValue(id).count(), 0u);
 }
 
 TEST(MetricsHelperTest, AttachedClockEmits)
 {
     SimClock clock;
-    MetricsRegistry reg(1);
+    MetricsRegistry reg;
     clock.setMetricsRegistry(&reg);
-    MetricId c = reg.counter("c");
     MetricId h = reg.histogram("h");
 
-    metricAdd(clock, c, 2);
     metricRecord(clock, h, 1000);
-    EXPECT_EQ(reg.value(c), 2u);
     EXPECT_EQ(reg.histogramValue(h).count(), 1u);
 
     VmAccounting acct;
-    acctFault(clock, &acct, TraceFaultKind::Cow);
-    acctFault(clock, &acct, TraceFaultKind::Cow);
-    acctFault(clock, &acct, TraceFaultKind::Pagein);
-    acctPageout(clock, &acct);
+    acct.noteFault(TraceFaultKind::Cow);
+    acct.noteFault(TraceFaultKind::Cow);
+    acct.noteFault(TraceFaultKind::Pagein);
     EXPECT_EQ(acct.faults(), 3u);
     EXPECT_EQ(acct.cowFaults(), 2u);
     EXPECT_EQ(acct.pageins(), 1u);
-    EXPECT_EQ(acct.pageouts, 1u);
 
     clock.setMetricsRegistry(nullptr);
-    metricAdd(clock, c);
-    EXPECT_EQ(reg.value(c), 2u);
+    metricRecord(clock, h, 1000);
+    EXPECT_EQ(reg.histogramValue(h).count(), 1u);
 }
 
 TEST(MetricsHelperTest, LatencySamplesNeedASink)
 {
     SimClock clock;
-    MetricsRegistry reg(1);
+    MetricsRegistry reg;
     clock.setMetricsRegistry(&reg);
 
     // A registry alone does not sample operation latencies...

@@ -126,11 +126,7 @@ TEST_F(TraceKernelTest, DetachedSinkSeesNothing)
     workload();
     EXPECT_EQ(sink.totalEmitted(), 0u);
     EXPECT_EQ(latency(metric::faultNs).count(), 0u);
-
-    // ...and statistics() reports empty histograms.
-    VmStatistics st = kernel->vm->statistics();
-    EXPECT_EQ(st.faultLatency.count(), 0u);
-    EXPECT_EQ(st.pmapOpLatency.count(), 0u);
+    EXPECT_EQ(latency(metric::pmapOpNs).count(), 0u);
 }
 
 TEST_F(TraceKernelTest, DetachStopsEmission)
@@ -140,12 +136,9 @@ TEST_F(TraceKernelTest, DetachStopsEmission)
     std::uint64_t mid = sink.totalEmitted();
     EXPECT_GT(mid, 0u);
 
-    // statistics() reports the registry's histograms, which the
-    // attached sink switched on.
-    VmStatistics st = kernel->vm->statistics();
-    EXPECT_GT(st.faultLatency.count(), 0u);
-    EXPECT_GT(st.pmapOpLatency.count(), 0u);
-    EXPECT_EQ(st.faultLatency.count(), latency(metric::faultNs).count());
+    // The attached sink switched the latency histograms on.
+    EXPECT_GT(latency(metric::faultNs).count(), 0u);
+    EXPECT_GT(latency(metric::pmapOpNs).count(), 0u);
 
     // Detached: no more events, and no more latency samples.
     std::uint64_t faults = latency(metric::faultNs).count();
@@ -200,11 +193,11 @@ TEST(TraceRegistryTest, UntracedRunSamplesOnlyShootdowns)
     for (MetricId id : {metric::faultNs, metric::pageoutNs,
                         metric::pmapOpNs, metric::diskNs})
         EXPECT_EQ(reg.histogramValue(id).count(), 0u) << id.index;
-    std::uint64_t rounds = reg.value(metric::shootdownRounds);
+    std::uint64_t rounds = reg.value(reg.find("tlb.shootdown_rounds"));
     EXPECT_GT(rounds, 0u);
+    EXPECT_EQ(rounds, kernel.vm->pmaps.shootdownRoundSeq);
     EXPECT_GT(kernel.vm->pmaps.shootdownIpis, 0u);
     EXPECT_EQ(reg.histogramValue(metric::shootdownWaitNs).count(), rounds);
-    EXPECT_EQ(kernel.vm->statistics().shootdownLatency.count(), rounds);
 }
 
 TEST_F(TraceKernelTest, EventsOrderedBySimulatedTime)
@@ -384,8 +377,8 @@ TEST_P(TraceNeutralityTest, SinkDoesNotChangeSimulatedResults)
             << "cost kind " << k;
 
     // Every VmStatistics counter and every pmap shootdown counter
-    // (shootdownIpis ... batchFlushes, rounds, remote targets) is a
-    // registry counter; the queue counts are filled separately.
+    // (rounds, shootdownIpis ... batchFlushes) is a registry counter;
+    // the queue counts are filled separately.
     auto ca = plain->vm->metricsSnapshot().counters;
     auto cb = traced->vm->metricsSnapshot().counters;
     ASSERT_EQ(ca.size(), cb.size());
@@ -405,8 +398,8 @@ TEST_P(TraceNeutralityTest, SinkDoesNotChangeSimulatedResults)
     EXPECT_GT(sa.cowFaults, 0u);
     EXPECT_GT(sa.pageouts, 0u);
     if (plain->machine.numCpus() > 1) {
-        EXPECT_GT(plain->vm->metrics.value(metric::shootdownRounds), 0u);
-        EXPECT_GT(sa.shootdownIpis, 0u);
+        EXPECT_GT(plain->vm->pmaps.shootdownRoundSeq, 0u);
+        EXPECT_GT(plain->vm->pmaps.shootdownIpis, 0u);
     }
 }
 

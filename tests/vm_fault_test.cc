@@ -120,6 +120,45 @@ TEST_P(VmFaultTest, ForkCopyOnWriteSemantics)
     kernel->taskTerminate(child);
 }
 
+TEST_P(VmFaultTest, CollapseFreesFramesWithClearAttributes)
+{
+    // Frames a collapse discards go back to the free list like any
+    // other freed page: with their modify/reference attributes clear.
+    VmOffset addr = 0;
+    ASSERT_EQ(task->map().allocate(&addr, 2 * page, true),
+              KernReturn::Success);
+    auto data = test::pattern(2 * page, 12);
+    ASSERT_EQ(kernel->taskWrite(*task, addr, data.data(), data.size()),
+              KernReturn::Success);
+    VmMap::LookupResult lr;
+    ASSERT_EQ(task->map().lookup(addr, FaultType::Read, lr),
+              KernReturn::Success);
+    std::vector<PhysAddr> frames;
+    for (VmOffset off : {lr.offset, lr.offset + page})
+        frames.push_back(lr.object->pageAt(off)->physAddr);
+    for (PhysAddr pa : frames)
+        ASSERT_TRUE(kernel->vm->pmaps.isModified(pa));
+
+    // Parent and child both copy page 0; once the child is gone the
+    // parent's copy of page 1 collapses the original object, whose
+    // two pages are both hidden and discarded.
+    Task *child = kernel->taskFork(*task);
+    ASSERT_EQ(kernel->taskWrite(*task, addr, data.data(), page),
+              KernReturn::Success);
+    ASSERT_EQ(kernel->taskWrite(*child, addr, data.data(), page),
+              KernReturn::Success);
+    kernel->taskTerminate(child);
+    std::uint64_t collapses = kernel->vm->stats.objectCollapses;
+    ASSERT_EQ(kernel->taskWrite(*task, addr + page, data.data(), page),
+              KernReturn::Success);
+    ASSERT_EQ(kernel->vm->stats.objectCollapses, collapses + 1);
+
+    for (PhysAddr pa : frames) {
+        EXPECT_FALSE(kernel->vm->pmaps.isModified(pa)) << pa;
+        EXPECT_FALSE(kernel->vm->pmaps.isReferenced(pa)) << pa;
+    }
+}
+
 TEST_P(VmFaultTest, ForkChainGrandchildren)
 {
     // Three generations with writes at each level; every task sees

@@ -6,15 +6,9 @@ records ``{"benchmark", "arch", "metric", "value", "unit"}``.  The
 simulation is fully deterministic (costs are charged in simulated
 nanoseconds from the cost tables, never measured from the host), so a
 drifting value means the *model* changed — exactly what a perf gate
-should catch.
-
-Tolerances are driven by the record's unit:
-
-  count   exact match (fault counts, IPI counts, chain lengths)
-  ns      relative tolerance (default 2%) — absorbs deliberate
-          rounding while still failing loudly on a 10% cost-table
-          perturbation
-  ratio   same relative tolerance as ns
+should catch.  Every record (count, ns and ratio alike) must equal its
+baseline exactly: a deliberate model change regenerates the baselines
+with --update and says why.
 
 Every baseline benchmark must appear in the results: a benchmark
 machvm_bench stops emitting fails the gate instead of dropping out of
@@ -33,8 +27,6 @@ import argparse
 import json
 import os
 import sys
-
-REL_TOL = 0.02
 
 def key(rec):
     return (rec["benchmark"], rec["arch"], rec["metric"])
@@ -83,7 +75,7 @@ def set_mismatch_report(baseline, results, bench):
         f"an intentional change)")
     return lines
 
-def compare(baseline, results, rel_tol):
+def compare(baseline, results):
     """Return a list of human-readable failure strings."""
     failures = []
     mismatched_benches = set()
@@ -97,17 +89,9 @@ def compare(baseline, results, rel_tol):
             failures.append(
                 f"UNIT CHANGE {'/'.join(k)}: {base['unit']} -> {unit}")
             continue
-        if unit == "count":
-            ok = got == want
-            detail = f"{got} != {want} (count: exact)"
-        else:
-            denom = max(abs(want), 1e-12)
-            rel = abs(got - want) / denom
-            ok = rel <= rel_tol
-            detail = (f"{got} vs {want} "
-                      f"(rel drift {rel:.4f} > {rel_tol})")
-        if not ok:
-            failures.append(f"DRIFT {'/'.join(k)}: {detail}")
+        if got != want:
+            failures.append(
+                f"DRIFT {'/'.join(k)}: {got} != {want} ({unit})")
 
     mismatched_benches |= {k[0] for k in baseline if k not in results}
     covered = {k[0] for k in results}
@@ -140,8 +124,6 @@ def main(argv=None):
                     help="JSON files produced by bench --json")
     ap.add_argument("--baseline-dir", default="bench/baselines",
                     help="directory of checked-in baseline JSONs")
-    ap.add_argument("--rel-tol", type=float, default=REL_TOL,
-                    help="relative tolerance for ns/ratio metrics")
     ap.add_argument("--update", action="store_true",
                     help="rewrite baselines from the result files")
     args = ap.parse_args(argv)
@@ -161,15 +143,15 @@ def main(argv=None):
         for rec in load_records(path):
             results[key(rec)] = rec
 
-    failures = compare(baseline, results, args.rel_tol)
+    failures = compare(baseline, results)
     if failures:
         print(f"check_bench: {len(failures)} failure(s) "
               f"across {len(results)} gated metrics:")
         for f in failures:
             print(f"  {f}")
         return 1
-    print(f"check_bench: all {len(results)} gated metrics within "
-          f"tolerance ({len(baseline)} baseline entries)")
+    print(f"check_bench: all {len(results)} gated metrics equal their "
+          f"baselines ({len(baseline)} baseline entries)")
     return 0
 
 if __name__ == "__main__":
