@@ -113,7 +113,7 @@ Machine::translate(Cpu &c, VmOffset va, AccessType type, PhysAddr &out,
             return false;
         }
         entry = c.tlb.insertMissed(tag, vpn, *tr);
-        ops.markRef(c.space, va);
+        ops.markRef(c.space, tr->pageBase);
     }
 
     if (!protIncludes(entry->prot, accessProt(type))) {

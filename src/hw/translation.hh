@@ -79,7 +79,7 @@ struct HwOps
 {
     std::optional<HwTranslation> (*lookup)(TranslationSource *, VmOffset,
                                            AccessType);
-    void (*markRef)(TranslationSource *, VmOffset);
+    void (*markRef)(TranslationSource *, PhysAddr);
     void (*markMod)(TranslationSource *, VmOffset);
 };
 
@@ -105,8 +105,11 @@ class TranslationSource
     virtual std::optional<HwTranslation>
     hwLookup(VmOffset va, AccessType access) = 0;
 
-    /** The hardware recorded a reference to the page holding @p va. */
-    virtual void hwMarkReferenced(VmOffset va) = 0;
+    /**
+     * The hardware recorded a reference to the frame at @p page_base,
+     * which the miss-path walk just returned.
+     */
+    virtual void hwMarkReferenced(PhysAddr page_base) = 0;
 
     /** The hardware recorded a modify of the page holding @p va. */
     virtual void hwMarkModified(VmOffset va) = 0;
@@ -134,7 +137,7 @@ inline constexpr HwOps kVirtualHwOps = {
     [](TranslationSource *s, VmOffset va, AccessType access) {
         return s->hwLookup(va, access);
     },
-    [](TranslationSource *s, VmOffset va) { s->hwMarkReferenced(va); },
+    [](TranslationSource *s, PhysAddr pa) { s->hwMarkReferenced(pa); },
     [](TranslationSource *s, VmOffset va) { s->hwMarkModified(va); },
 };
 
@@ -150,8 +153,8 @@ inline constexpr HwOps kHwOpsFor = {
         static_assert(std::is_final_v<T>);
         return static_cast<T *>(s)->hwLookup(va, access);
     },
-    [](TranslationSource *s, VmOffset va) {
-        static_cast<T *>(s)->hwMarkReferenced(va);
+    [](TranslationSource *s, PhysAddr pa) {
+        static_cast<T *>(s)->hwMarkReferenced(pa);
     },
     [](TranslationSource *s, VmOffset va) {
         static_cast<T *>(s)->hwMarkModified(va);

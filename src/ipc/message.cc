@@ -12,6 +12,8 @@ Message::~Message()
 KernReturn
 Message::attachMemory(VmMap &src, VmOffset addr, VmSize size)
 {
+    if (oolSize)
+        return KernReturn::InvalidArgument;
     KernReturn kr = src.copyIn(addr, size, &oolEntries);
     if (kr != KernReturn::Success)
         return kr;

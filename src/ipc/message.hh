@@ -93,7 +93,9 @@ class Message
     /** @name Out-of-line memory @{ */
     /**
      * Attach [addr, addr+size) of @p src copy-on-write.  No data is
-     * copied; the source is marked needs-copy.
+     * copied; the source is marked needs-copy.  A message carries
+     * one region: a second attach returns InvalidArgument and leaves
+     * the first intact.
      */
     KernReturn attachMemory(VmMap &src, VmOffset addr, VmSize size);
 

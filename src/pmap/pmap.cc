@@ -1,7 +1,6 @@
 #include "pmap/pmap.hh"
 
 #include <algorithm>
-#include <functional>
 
 #include "sim/metrics.hh"
 #include "sim/trace.hh"
@@ -61,10 +60,9 @@ Pmap::deactivate(CpuId cpu)
 }
 
 void
-Pmap::hwMarkReferenced(VmOffset va)
+Pmap::hwMarkReferenced(PhysAddr page_base)
 {
-    if (auto pa = extract(va))
-        sys.setReferencedAttr(*pa);
+    sys.setReferencedAttr(page_base);
 }
 
 void
@@ -310,14 +308,6 @@ struct PmapSystem::FlushCmd
     }
 };
 
-bool
-PmapSystem::pendingBefore(const PendingRange &a, const PendingRange &b)
-{
-    if (a.pmap != b.pmap)
-        return std::less<const Pmap *>()(a.pmap, b.pmap);
-    return a.start < b.start;
-}
-
 void
 PmapSystem::shootdownRange(Pmap &pmap, VmOffset start, VmOffset end,
                            ShootdownMode mode)
@@ -334,25 +324,24 @@ PmapSystem::shootdownRange(Pmap &pmap, VmOffset start, VmOffset end,
     // honoring the strictest mode seen.
     ++shootdownsCoalesced;
     batchMode = stricterMode(mode, batchMode);
+    if (pmap.batchSlot == Pmap::kNoBatchSlot) {
+        pmap.batchSlot = std::uint32_t(batchSlots.size());
+        batchSlots.push_back({&pmap, 0, 0});
+    }
+    const std::uint32_t slot = pmap.batchSlot;
     if (!batchPending.empty()) {
         PendingRange &last = batchPending.back();
-        if (last.pmap == &pmap && start <= last.end && last.start <= end) {
+        if (last.slot == slot && start <= last.end && last.start <= end) {
             // Touching or overlapping the previous request of the
             // same pmap: fold it in (the close would merge them).
             ++last.requests;
+            last.start = std::min(last.start, start);
             last.end = std::max(last.end, end);
-            if (start < last.start) {
-                last.start = start;
-                if (batchPending.size() > 1 &&
-                    pendingBefore(last, batchPending.end()[-2]))
-                    pendingSorted = false;
-            }
             return;
         }
-        if (pendingBefore(PendingRange{&pmap, start, end, 1}, last))
-            pendingSorted = false;
     }
-    batchPending.push_back({&pmap, start, end, 1});
+    batchPending.push_back({start, end, slot, 1});
+    ++batchSlots[slot].records;
 }
 
 void
@@ -448,7 +437,6 @@ PmapSystem::openBatch()
     if (batchDepth++ == 0) {
         batchMode = ShootdownMode::Lazy;
         batchPending.clear();
-        pendingSorted = true;
     }
 }
 
@@ -461,12 +449,31 @@ PmapSystem::closeBatch()
 }
 
 void
-PmapSystem::sortPending()
+PmapSystem::groupPending()
 {
-    if (pendingSorted)
-        return;
-    std::sort(batchPending.begin(), batchPending.end(), pendingBefore);
-    pendingSorted = true;
+    // Counting pass: a prefix sum over the slots' record counts
+    // places each group, then one sweep files every record's index
+    // under its slot, keeping arrival order within the group.
+    std::uint32_t base = 0;
+    for (BatchSlot &s : batchSlots) {
+        s.first = base;
+        base += s.records;
+    }
+    batchOrder.resize(batchPending.size());
+    for (std::uint32_t i = 0; i < batchPending.size(); ++i)
+        batchOrder[batchSlots[batchPending[i].slot].first++] = i;
+    // Within a pmap the close sweeps ascending starts; that order
+    // decides page-by-page versus whole-tag flushes.
+    auto byStart = [this](std::uint32_t a, std::uint32_t b) {
+        return batchPending[a].start < batchPending[b].start;
+    };
+    for (BatchSlot &s : batchSlots) {
+        s.first -= s.records;
+        auto lo = batchOrder.begin() + s.first;
+        auto hi = lo + s.records;
+        if (!std::is_sorted(lo, hi, byStart))
+            std::sort(lo, hi, byStart);
+    }
 }
 
 void
@@ -474,33 +481,36 @@ PmapSystem::flushBatch()
 {
     ShootdownMode mode = batchMode;
     batchMode = ShootdownMode::Lazy;
-    if (batchPending.empty())
-        return;
-    sortPending();
-    closeRanges(batchPending, mode);
-    batchPending.clear();
+    if (!batchPending.empty()) {
+        groupPending();
+        closeRanges(batchOrder, mode);
+        batchPending.clear();
+    }
+    for (const BatchSlot &s : batchSlots) {
+        if (s.pmap)
+            s.pmap->batchSlot = Pmap::kNoBatchSlot;
+    }
+    batchSlots.clear();
 }
 
 void
 PmapSystem::drainBatched(Pmap &pmap)
 {
-    if (batchPending.empty())
+    if (pmap.batchSlot == Pmap::kNoBatchSlot)
         return;
-    sortPending();
-    auto [lo, hi] = std::equal_range(
-        batchPending.begin(), batchPending.end(),
-        PendingRange{&pmap, 0, 0, 0},
-        [](const PendingRange &a, const PendingRange &b) {
-            return std::less<const Pmap *>()(a.pmap, b.pmap);
-        });
-    if (lo == hi)
-        return;
-    closeRanges({lo, hi}, batchMode);
-    batchPending.erase(lo, hi);
+    const std::uint32_t slot = pmap.batchSlot;
+    BatchSlot &s = batchSlots[slot];
+    groupPending();
+    closeRanges({batchOrder.data() + s.first, s.records}, batchMode);
+    std::erase_if(batchPending,
+                  [slot](const PendingRange &r) { return r.slot == slot; });
+    s.records = 0;
+    s.pmap = nullptr;
+    pmap.batchSlot = Pmap::kNoBatchSlot;
 }
 
 void
-PmapSystem::closeRanges(std::span<const PendingRange> records,
+PmapSystem::closeRanges(std::span<const std::uint32_t> order,
                         ShootdownMode mode)
 {
     if (mode == ShootdownMode::Lazy) {
@@ -509,23 +519,29 @@ PmapSystem::closeRanges(std::span<const PendingRange> records,
         return;
     }
 
-    // Records are sorted by (pmap, start): one sweep merges each
-    // pmap's adjacent and overlapping ranges and unions the targets.
+    // Records are grouped by pmap and sorted by start within a group:
+    // one sweep merges each pmap's adjacent and overlapping ranges
+    // and unions the targets.  Flushes under different tags commute,
+    // so the order of the groups is free.
     flushList.clear();
     std::bitset<kMaxCpus> targets;
     std::uint64_t requests = 0;
-    const Pmap *prev = nullptr;
-    for (const PendingRange &r : records) {
+    std::uint32_t prev = Pmap::kNoBatchSlot;
+    const void *tag = nullptr;
+    for (std::uint32_t i : order) {
+        const PendingRange &r = batchPending[i];
         requests += r.requests;
-        if (r.pmap == prev && r.start <= flushList.back().end) {
+        if (r.slot == prev && r.start <= flushList.back().end) {
             flushList.back().end = std::max(flushList.back().end, r.end);
             continue;
         }
-        if (r.pmap != prev) {
-            targets |= flushTargets(*r.pmap);
-            prev = r.pmap;
+        if (r.slot != prev) {
+            const Pmap &pmap = *batchSlots[r.slot].pmap;
+            targets |= flushTargets(pmap);
+            tag = pmap.tlbTag();
+            prev = r.slot;
         }
-        flushList.push_back({r.pmap->tlbTag(), r.start, r.end});
+        flushList.push_back({tag, r.start, r.end});
     }
 
     batchRangesMerged += requests - flushList.size();

@@ -193,8 +193,12 @@ class Pmap : public TranslationSource
     /** Count of hardware mappings currently installed (statistics). */
     std::uint64_t residentMappings() const { return nMappings; }
 
-    /** TranslationSource: default attribute recording via extract. */
-    void hwMarkReferenced(VmOffset va) override;
+    /**
+     * TranslationSource: attribute recording.  The reference bit
+     * goes straight to the walked frame; the modify bit, also set on
+     * TLB hits, looks the page up through extract.
+     */
+    void hwMarkReferenced(PhysAddr page_base) override;
     void hwMarkModified(VmOffset va) override;
 
   protected:
@@ -219,6 +223,13 @@ class Pmap : public TranslationSource
     /** Hook run by activate() for arches with contexts (SUN 3). */
     virtual void onActivate(CpuId cpu) { (void)cpu; }
     virtual void onDeactivate(CpuId cpu) { (void)cpu; }
+
+  private:
+    friend class PmapSystem;
+
+    static constexpr std::uint32_t kNoBatchSlot = ~std::uint32_t{0};
+    /** This map's slot in the open shootdown batch, if it has one. */
+    std::uint32_t batchSlot = kNoBatchSlot;
 };
 
 /**
@@ -442,10 +453,21 @@ class PmapSystem
      */
     struct PendingRange
     {
-        Pmap *pmap;
         VmOffset start;
         VmOffset end;
+        std::uint32_t slot;     //!< the pmap's index in batchSlots
         std::uint32_t requests; //!< shootdownRange calls folded in
+    };
+
+    /**
+     * A pmap with requests in the open batch.  Slots are numbered in
+     * order of first request, which is the order a close sweeps.
+     */
+    struct BatchSlot
+    {
+        Pmap *pmap;            //!< null once drained for destruction
+        std::uint32_t records; //!< its records in batchPending
+        std::uint32_t first;   //!< its group's start in batchOrder
     };
 
     /** One merged range to flush under a TLB tag. */
@@ -455,10 +477,6 @@ class PmapSystem
         VmOffset start;
         VmOffset end;
     };
-
-    /** Order records by (pmap, start), the order a close sweeps. */
-    static bool pendingBefore(const PendingRange &a,
-                              const PendingRange &b);
 
     /** Per-CPU flush command over a slice of TagRanges. */
     struct FlushCmd;
@@ -481,15 +499,20 @@ class PmapSystem
     void drainBatched(Pmap &pmap);
 
     /**
-     * The one batch close routine: merge the (pmap, start)-sorted
-     * @p records per pmap into flushList, charge and count them, and
+     * The one batch close routine: merge the batchPending records
+     * that @p order lists, grouped by slot and sorted by start within
+     * each group, into flushList per pmap, charge and count them, and
      * dispatch one round per @p mode.
      */
-    void closeRanges(std::span<const PendingRange> records,
+    void closeRanges(std::span<const std::uint32_t> order,
                      ShootdownMode mode);
 
-    /** Sort batchPending by (pmap, start) unless already in order. */
-    void sortPending();
+    /**
+     * Fill batchOrder with batchPending's indices grouped by slot (one
+     * counting pass), sorting by start each group that arrived out of
+     * order; sets every slot's first.
+     */
+    void groupPending();
 
     /** CPUs whose TLBs may hold entries of @p pmap. */
     std::bitset<kMaxCpus> flushTargets(const Pmap &pmap) const;
@@ -511,13 +534,15 @@ class PmapSystem
     /** Strictest mode seen inside the open batch. */
     ShootdownMode batchMode = ShootdownMode::Lazy;
     /**
-     * Requests of the open batch, in arrival order until a close or
-     * drain sorts them.  All of these buffers keep their capacity
-     * across batches, so a close allocates nothing once warm.
+     * Requests of the open batch, in arrival order.  All of these
+     * buffers keep their capacity across batches, so a close
+     * allocates nothing once warm.
      */
     std::vector<PendingRange> batchPending;
-    /** False once a record arrived out of (pmap, start) order. */
-    bool pendingSorted = true;
+    /** batchPending's indices in close order, set by groupPending. */
+    std::vector<std::uint32_t> batchOrder;
+    /** The pmaps of the open batch, indexed by Pmap::batchSlot. */
+    std::vector<BatchSlot> batchSlots;
     /** The merged (tag, start, end) list of the close in progress. */
     std::vector<TagRange> flushList;
     /**

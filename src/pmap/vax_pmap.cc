@@ -1,58 +1,75 @@
 #include "pmap/vax_pmap.hh"
 
 #include <algorithm>
+#include <bit>
+#include <new>
 
 namespace mach
 {
 
+namespace
+{
+
+/** Table pages carved from each zone chunk (about 33KB). */
+constexpr std::size_t kTablePagesPerChunk = 32;
+
+} // namespace
+
 LinearPmap::LinearPmap(LinearPmapSystem &lsys, bool kernel)
-    : Pmap(lsys, kernel), lsys(lsys)
+    : Pmap(lsys, kernel), lsys(lsys),
+      hwShift(lsys.getMachine().spec.hwPageShift)
 {
 }
 
 LinearPmap::PteRef
 LinearPmap::lookupPte(VmOffset va)
 {
-    VmOffset vpn = va >> lsys.getMachine().spec.hwPageShift;
-    VmOffset index = vpn >> lsys.pteIndexShift();
-    if (index != cachedIndex) {
-        auto it = tables.find(index);
-        if (it == tables.end())
-            return {};
-        cachedIndex = index;
-        cachedPage = it->second.get();
-    }
-    return {&cachedPage->ptes[vpn & (lsys.ptesPerTablePage() - 1)],
-            cachedPage};
+    VmOffset vpn = va >> hwShift;
+    VmOffset index = vpn >> kPteIndexShift;
+    if (index >= dir.size() || !dir[index])
+        return {};
+    PtPage *pt = dir[index];
+    return {&pt->ptes[vpn & (kPtesPerTablePage - 1)], pt};
 }
 
 LinearPmap::PteRef
 LinearPmap::forcePte(VmOffset va)
 {
-    VmOffset vpn = va >> lsys.getMachine().spec.hwPageShift;
-    VmOffset index = vpn >> lsys.pteIndexShift();
-    if (index != cachedIndex) {
-        auto it = tables.find(index);
-        if (it == tables.end()) {
-            auto pt = std::make_unique<PtPage>();
-            pt->ptes.resize(lsys.ptesPerTablePage());
-            it = tables.emplace(index, std::move(pt)).first;
-            lsys.chargePmap(lsys.getMachine().spec.costs.ptePageAlloc);
-            ++lsys.tablePagesBuilt;
-        }
-        cachedIndex = index;
-        cachedPage = it->second.get();
+    VmOffset vpn = va >> hwShift;
+    VmOffset index = vpn >> kPteIndexShift;
+    if (index >= dir.size())
+        growDirectory(index);
+    PtPage *&pt = dir[index];
+    if (!pt) {
+        pt = new (lsys.tablePageZone.alloc()) PtPage();
+        lsys.chargePmap(lsys.getMachine().spec.costs.ptePageAlloc);
+        ++lsys.tablePagesBuilt;
     }
-    return {&cachedPage->ptes[vpn & (lsys.ptesPerTablePage() - 1)],
-            cachedPage};
+    return {&pt->ptes[vpn & (kPtesPerTablePage - 1)], pt};
+}
+
+void
+LinearPmap::growDirectory(VmOffset index)
+{
+    dir.resize(std::max<std::size_t>(
+                   std::bit_ceil(std::size_t(index) + 1), 16),
+               nullptr);
+}
+
+void
+LinearPmap::freeTablePage(VmOffset index)
+{
+    MACH_ASSERT(dir[index] && dir[index]->validCount == 0);
+    lsys.tablePageZone.free(dir[index]);
+    dir[index] = nullptr;
+    ++lsys.tablePagesFreed;
 }
 
 void
 LinearPmap::invalidatePte(VmOffset va, PtPage &pt, Pte &pte)
 {
     MACH_ASSERT(pte.valid);
-    lsys.pv().remove(pte.pageBase >> lsys.getMachine().spec.hwPageShift,
-                     this, va);
+    lsys.pv().remove(pte.frame, this, va);
     pte.valid = false;
     if (pte.wired) {
         pte.wired = false;
@@ -77,16 +94,18 @@ LinearPmap::enterImpl(VmOffset va, PhysAddr pa, VmProt prot, bool wired)
         PteRef ref = forcePte(va + off);
         if (ref.pte->valid)
             invalidatePte(va + off, *ref.page, *ref.pte);
+        FrameNum frame = (pa + off) >> hwShift;
+        MACH_ASSERT(frame <= UINT32_MAX);
         ref.pte->valid = true;
-        ref.pte->pageBase = pa + off;
-        ref.pte->prot = prot;
+        ref.pte->frame = std::uint32_t(frame);
+        ref.pte->setProtection(prot);
         ref.pte->wired = wired;
         if (wired)
             ++ref.page->wiredCount;
         ++ref.page->validCount;
         ++nMappings;
         ++entered;
-        lsys.pv().add((pa + off) >> spec.hwPageShift, this, va + off);
+        lsys.pv().add(frame, this, va + off);
     }
     // One batched charge: per-PTE cost, identical total to charging
     // inside the loop (nothing in the loop observes the clock).
@@ -100,39 +119,31 @@ LinearPmap::removeImpl(VmOffset start, VmOffset end)
 {
     const MachineSpec &spec = lsys.getMachine().spec;
     VmSize hw = spec.hwPageSize();
+    const unsigned tableShift = hwShift + kPteIndexShift;
     unsigned removed = 0;
 
-    // Walk only the table pages that overlap [start, end).
-    VmOffset first_index =
-        (start >> spec.hwPageShift) / lsys.ptesPerTablePage();
-    auto it = tables.lower_bound(first_index);
-    while (it != tables.end()) {
-        VmOffset base = it->first * lsys.ptesPerTablePage() * hw;
-        if (base >= end)
-            break;
-        PtPage &pt = *it->second;
+    // Walk only the built table pages that overlap [start, end).
+    VmOffset limit = end ? ((end - 1) >> tableShift) + 1 : 0;
+    limit = std::min<VmOffset>(limit, dir.size());
+    for (VmOffset index = start >> tableShift; index < limit; ++index) {
+        PtPage *pt = dir[index];
+        if (!pt)
+            continue;
         // Clip [start, end) against this table's span once, instead
         // of range-testing every PTE.
-        VmOffset top = base + VmOffset(lsys.ptesPerTablePage()) * hw;
-        if (top > end)
-            top = end;
-        unsigned i = base < start
-            ? unsigned((start - base) >> spec.hwPageShift) : 0;
-        unsigned iEnd = unsigned((top - base) >> spec.hwPageShift);
+        VmOffset base = index << tableShift;
+        VmOffset top = std::min(base + (VmOffset(1) << tableShift), end);
+        unsigned i = base < start ? unsigned((start - base) >> hwShift) : 0;
+        unsigned iEnd = unsigned((top - base) >> hwShift);
         for (; i < iEnd; ++i) {
-            Pte &pte = pt.ptes[i];
+            Pte &pte = pt->ptes[i];
             if (pte.valid) {
-                invalidatePte(base + VmOffset(i) * hw, pt, pte);
+                invalidatePte(base + VmOffset(i) * hw, *pt, pte);
                 ++removed;
             }
         }
-        if (pt.validCount == 0) {
-            it = tables.erase(it);
-            ++lsys.tablePagesFreed;
-            invalidateTableCache();
-        } else {
-            ++it;
-        }
+        if (pt->validCount == 0)
+            freeTablePage(index);
     }
 
     if (removed) {
@@ -150,7 +161,7 @@ LinearPmap::protectImpl(VmOffset start, VmOffset end, VmProt prot)
     for (VmOffset va = truncTo(start, hw); va < end; va += hw) {
         PteRef ref = lookupPte(va);
         if (ref && ref.pte->valid) {
-            ref.pte->prot &= prot;  // restrict only
+            ref.pte->setProtection(ref.pte->protection() & prot);
             ++changed;
         }
     }
@@ -163,11 +174,10 @@ LinearPmap::protectImpl(VmOffset start, VmOffset end, VmProt prot)
 std::optional<PhysAddr>
 LinearPmap::extract(VmOffset va)
 {
-    const MachineSpec &spec = lsys.getMachine().spec;
     PteRef ref = lookupPte(va);
     if (!ref || !ref.pte->valid)
         return std::nullopt;
-    return ref.pte->pageBase + (va & (spec.hwPageSize() - 1));
+    return pageBaseOf(*ref.pte) + (va & ((VmOffset(1) << hwShift) - 1));
 }
 
 std::optional<HwTranslation>
@@ -177,7 +187,7 @@ LinearPmap::hwLookup(VmOffset va, AccessType access)
     PteRef ref = lookupPte(va);
     if (!ref || !ref.pte->valid)
         return std::nullopt;
-    return HwTranslation{ref.pte->pageBase, ref.pte->prot,
+    return HwTranslation{pageBaseOf(*ref.pte), ref.pte->protection(),
                          ref.pte->wired};
 }
 
@@ -199,15 +209,15 @@ LinearPmap::copyFrom(Pmap &src, VmOffset dst_addr, VmSize len,
         if (mine.pte->valid)
             continue;  // never overwrite an existing mapping
         mine.pte->valid = true;
-        mine.pte->pageBase = theirs.pte->pageBase;
+        mine.pte->frame = theirs.pte->frame;
         // Read-only: a write must still take the COW fault.
-        mine.pte->prot = theirs.pte->prot & ~VmProt::Write;
+        mine.pte->setProtection(theirs.pte->protection() &
+                                ~VmProt::Write);
         mine.pte->wired = false;
         ++mine.page->validCount;
         ++nMappings;
         ++copied;
-        lsys.pv().add(theirs.pte->pageBase >> spec.hwPageShift, this,
-                      dst_addr + off);
+        lsys.pv().add(theirs.pte->frame, this, dst_addr + off);
     }
     lsys.chargePmap(SimTime(copied) * (spec.costs.pmapEnter / 2));
 }
@@ -218,39 +228,34 @@ LinearPmap::garbageCollect()
     // Kernel mappings must stay complete and accurate.
     if (kernel())
         return;
-    const MachineSpec &spec = lsys.getMachine().spec;
-    VmSize hw = spec.hwPageSize();
+    VmSize hw = lsys.getMachine().spec.hwPageSize();
+    const unsigned tableShift = hwShift + kPteIndexShift;
     VmOffset flush_lo = ~VmOffset(0);
     VmOffset flush_hi = 0;
-    for (auto it = tables.begin(); it != tables.end();) {
-        PtPage &pt = *it->second;
-        if (pt.wiredCount > 0) {
-            ++it;
+    for (VmOffset index = 0; index < dir.size(); ++index) {
+        PtPage *pt = dir[index];
+        if (!pt || pt->wiredCount > 0)
             continue;
-        }
         // Drop the whole table page: the machine-independent layer
         // can rebuild every mapping at fault time.
-        VmOffset base = it->first * lsys.ptesPerTablePage() * hw;
-        for (unsigned i = 0; i < lsys.ptesPerTablePage(); ++i) {
-            Pte &pte = pt.ptes[i];
+        VmOffset base = index << tableShift;
+        for (unsigned i = 0; i < kPtesPerTablePage; ++i) {
+            Pte &pte = pt->ptes[i];
             if (pte.valid)
-                invalidatePte(base + VmOffset(i) * hw, pt, pte);
+                invalidatePte(base + VmOffset(i) * hw, *pt, pte);
         }
         flush_lo = std::min(flush_lo, base);
-        flush_hi = std::max(flush_hi,
-                            base + lsys.ptesPerTablePage() * hw);
-        it = tables.erase(it);
-        ++lsys.tablePagesFreed;
-        invalidateTableCache();
+        flush_hi = std::max(flush_hi, base + (VmOffset(1) << tableShift));
+        freeTablePage(index);
     }
     if (flush_hi > flush_lo)
         shootdown(flush_lo, flush_hi, ShootdownMode::Immediate);
 }
 
 LinearPmapSystem::LinearPmapSystem(Machine &machine)
-    : PvPmapSystem(machine)
+    : PvPmapSystem(machine),
+      tablePageZone(sizeof(LinearPmap::PtPage), kTablePagesPerChunk)
 {
-    setPtesPerTablePage(128);
 }
 
 std::unique_ptr<Pmap>
@@ -273,7 +278,7 @@ LinearPmapSystem::revokeWrite(Pmap &pmap, VmOffset va)
 {
     LinearPmap::PteRef ref = static_cast<LinearPmap &>(pmap).lookupPte(va);
     MACH_ASSERT(ref && ref.pte->valid);
-    ref.pte->prot &= ~VmProt::Write;
+    ref.pte->setProtection(ref.pte->protection() & ~VmProt::Write);
 }
 
 } // namespace mach

@@ -9,21 +9,26 @@
  * currently in use", creating and destroying VAX page tables as
  * necessary to conserve space or improve runtime.
  *
- * The mechanism (a sparse set of page-table pages, built on demand
- * and garbage-collectable) is shared with the NS32082 module, which
- * differs only in geometry and its address-space limits; the common
- * machinery lives in LinearPmap / LinearPmapSystem here.  The
- * physical-page operations come from PvPmapSystem: this module
- * supplies the table plus its two one-mapping primitives.
+ * The mechanism is shared with the NS32082 module, which differs only
+ * in its address-space limits; the common machinery lives in
+ * LinearPmap / LinearPmapSystem here.  Each pmap keeps a directory
+ * indexed by table-page number — on the VAX, the slice of the system
+ * page table that maps the process's page-table pages — grown on
+ * demand to the highest table page touched.  Table pages (128 packed
+ * PTEs each) come from a zone owned by the module, so building and
+ * freeing one is a freelist pop and push.  The physical-page
+ * operations come from PvPmapSystem: this module supplies the table
+ * plus its two one-mapping primitives.
  */
 
 #ifndef MACH_PMAP_VAX_PMAP_HH
 #define MACH_PMAP_VAX_PMAP_HH
 
-#include <bit>
-#include <map>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
+#include "base/zone.hh"
 #include "pmap/pmap.hh"
 #include "pmap/pv_table.hh"
 
@@ -62,19 +67,29 @@ class LinearPmap : public Pmap
   private:
     friend class LinearPmapSystem;
 
-    /** One hardware page-table entry. */
+    /** PTE slots per table page: 512-byte page / 4-byte VAX PTE. */
+    static constexpr unsigned kPtesPerTablePage = 128;
+    /** log2(kPtesPerTablePage). */
+    static constexpr unsigned kPteIndexShift = 7;
+    static_assert(kPtesPerTablePage == 1u << kPteIndexShift);
+
+    /** One hardware page-table entry, packed into 8 bytes. */
     struct Pte
     {
+        std::uint32_t frame = 0; //!< hardware frame number
+        std::uint8_t prot = 0;   //!< VmProt bits
         bool valid = false;
         bool wired = false;
-        PhysAddr pageBase = 0;
-        VmProt prot = VmProt::None;
+
+        VmProt protection() const { return static_cast<VmProt>(prot); }
+        void setProtection(VmProt p) { prot = std::uint8_t(p); }
     };
+    static_assert(sizeof(Pte) == 8);
 
     /** One lazily-built page of page table. */
     struct PtPage
     {
-        std::vector<Pte> ptes;
+        Pte ptes[kPtesPerTablePage];
         unsigned validCount = 0;
         unsigned wiredCount = 0;
     };
@@ -82,7 +97,7 @@ class LinearPmap : public Pmap
     /**
      * A PTE together with its containing table page, so callers that
      * need both (enterImpl must bump the page's counts) perform one
-     * map lookup, not two.
+     * directory lookup, not two.
      */
     struct PteRef
     {
@@ -100,23 +115,29 @@ class LinearPmap : public Pmap
     /** Remove one hw mapping (PTE + pv entry); table GC separate. */
     void invalidatePte(VmOffset va, PtPage &pt, Pte &pte);
 
-    /** Forget the cached table page (call after any tables.erase). */
-    void
-    invalidateTableCache()
+    /** Return table page @p index, now empty, to the zone. */
+    void freeTablePage(VmOffset index);
+
+    /** Make dir long enough to hold table-page index @p index. */
+    void growDirectory(VmOffset index);
+
+    /** The physical address of @p pte's hardware page. */
+    PhysAddr
+    pageBaseOf(const Pte &pte) const
     {
-        cachedIndex = ~VmOffset(0);
-        cachedPage = nullptr;
+        return PhysAddr(pte.frame) << hwShift;
     }
 
     LinearPmapSystem &lsys;
-    /** table-page index -> table page, sorted for ranged walks. */
-    std::map<VmOffset, std::unique_ptr<PtPage>> tables;
+    /** The machine's hardware page shift, cached for the walks. */
+    const unsigned hwShift;
     /**
-     * Last table page touched: sequential fault/enter streams hit the
-     * same 128-PTE page repeatedly, skipping the std::map descent.
+     * Table-page index -> table page, null where none is built.  The
+     * destructor frees nothing: destroy() has emptied a user pmap,
+     * and pages a pmap still holds when its module goes away are
+     * released with the module's zone.
      */
-    VmOffset cachedIndex = ~VmOffset(0);
-    PtPage *cachedPage = nullptr;
+    std::vector<PtPage *> dir;
 };
 
 /** Shared system half for linear-page-table architectures. */
@@ -125,34 +146,16 @@ class LinearPmapSystem : public PvPmapSystem
   public:
     explicit LinearPmapSystem(Machine &machine);
 
-    /** PTEs that fit in one page-table page. */
-    unsigned ptesPerTablePage() const { return ptesPerPage; }
-
-    /** log2 of ptesPerTablePage (always a power of two). */
-    unsigned pteIndexShift() const { return pteShift; }
-
   protected:
     std::unique_ptr<Pmap> allocatePmap(bool kernel) override;
     void dropMapping(Pmap &pmap, VmOffset va) override;
     void revokeWrite(Pmap &pmap, VmOffset va) override;
 
-    /**
-     * Set the PTE slots per table page (a power of two), checked
-     * here once so the lookup paths can use the cached shift.
-     */
-    void
-    setPtesPerTablePage(unsigned n)
-    {
-        MACH_ASSERT(std::has_single_bit(n));
-        ptesPerPage = n;
-        pteShift = unsigned(std::countr_zero(n));
-    }
-
   private:
-    /** PTE slots per table page; 512-byte page / 4-byte PTE = 128. */
-    unsigned ptesPerPage = 0;
-    /** log2(ptesPerPage), kept in step by setPtesPerTablePage. */
-    unsigned pteShift = 0;
+    friend class LinearPmap;
+
+    /** Every pmap's table pages, recycled through one freelist. */
+    Zone tablePageZone;
 };
 
 /**

@@ -1,7 +1,6 @@
 #include "vm/vm_map.hh"
 
 #include <algorithm>
-#include <vector>
 
 #include "base/logging.hh"
 #include "pmap/pmap.hh"
@@ -477,17 +476,14 @@ VmMap::protectForCopy(VmMapEntry &entry)
     // every pmap that maps it (pmap_copy_on_write, Table 3-3).
     VmOffset lo = entry.offset;
     VmOffset hi = entry.offset + entry.size();
-    std::vector<VmPage *> snapshot;
-    snapshot.reserve(entry.object->residentCount);
+    // One coalesced round write-protects the whole entry — the fork
+    // / vm_copy hot path of Table 7-1.  copyOnWrite never edits the
+    // page list, so the walk iterates it directly.
+    PmapBatch batch(sys.pmaps);
     for (VmPage *p : entry.object->pages) {
         if (p->offset >= lo && p->offset < hi)
-            snapshot.push_back(p);
+            sys.pmaps.copyOnWrite(p->physAddr);
     }
-    // One coalesced round write-protects the whole entry — the fork
-    // / vm_copy hot path of Table 7-1.
-    PmapBatch batch(sys.pmaps);
-    for (VmPage *p : snapshot)
-        sys.pmaps.copyOnWrite(p->physAddr);
 }
 
 void

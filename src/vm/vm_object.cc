@@ -1,7 +1,5 @@
 #include "vm/vm_object.hh"
 
-#include <vector>
-
 #include "base/logging.hh"
 #include "pager/pager.hh"
 
@@ -198,15 +196,13 @@ VmObject::collapse()
         if (object->canCollapseBacking(*backing)) {
             // Merge: move the useful pages of the backing object up
             // into this object, then splice it out of the chain.
-            std::vector<VmPage *> snapshot;
-            snapshot.reserve(backing->residentCount);
-            for (VmPage *p : backing->pages)
-                snapshot.push_back(p);
             {
                 // Coalesce the invisible pages' shootdowns; closed
                 // before the splice so flushes precede frame reuse.
+                // Drain head-first: rename and freePage each unlink
+                // the head, so pages leave in list order.
                 PmapBatch batch(sys.pmaps);
-                for (VmPage *p : snapshot) {
+                while (VmPage *p = backing->pages.front()) {
                     bool useful = p->offset >= object->shadowOffset &&
                         p->offset - object->shadowOffset < object->size;
                     VmOffset new_off = p->offset - object->shadowOffset;

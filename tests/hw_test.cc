@@ -31,7 +31,7 @@ class FlatSpace : public TranslationSource
             return std::nullopt;
         return HwTranslation{truncTo(va, 512) + base, prot, false};
     }
-    void hwMarkReferenced(VmOffset) override { ++referenced; }
+    void hwMarkReferenced(PhysAddr) override { ++referenced; }
     void hwMarkModified(VmOffset) override { ++modified; }
 
     VmProt prot;

@@ -4,6 +4,8 @@
  * out-of-line transfers move by COW remapping, not by copying.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "ipc/port.hh"
@@ -130,6 +132,40 @@ TEST_P(IpcVmTest, OutOfLineMemoryNeedsReadAccess)
 
     // The readable half alone still goes out.
     EXPECT_EQ(msg.attachMemory(sender->map(), src, page),
+              KernReturn::Success);
+}
+
+TEST_P(IpcVmTest, SecondAttachIsRefusedAndKeepsTheFirstRegion)
+{
+    // A message carries one out-of-line region: a second attach
+    // must neither append its entries nor resize the first region.
+    VmOffset src = 0;
+    ASSERT_EQ(sender->map().allocate(&src, 3 * page, true),
+              KernReturn::Success);
+    auto data = test::pattern(3 * page, 41);
+    ASSERT_EQ(kernel->taskWrite(*sender, src, data.data(), data.size()),
+              KernReturn::Success);
+
+    Message msg(MsgId::UserBase);
+    ASSERT_EQ(msg.attachMemory(sender->map(), src, 2 * page),
+              KernReturn::Success);
+    EXPECT_EQ(msg.attachMemory(sender->map(), src + 2 * page, page),
+              KernReturn::InvalidArgument);
+    EXPECT_EQ(msg.memorySize(), 2 * page);
+    kernel->sendMessage(receiver->taskPort, std::move(msg));
+
+    auto received = receiver->taskPort.receive();
+    ASSERT_TRUE(received.has_value());
+    VmOffset dst = 0;
+    ASSERT_EQ(received->takeMemory(receiver->map(), &dst),
+              KernReturn::Success);
+    std::vector<std::uint8_t> out(2 * page);
+    ASSERT_EQ(kernel->taskRead(*receiver, dst, out.data(), out.size()),
+              KernReturn::Success);
+    EXPECT_TRUE(std::equal(out.begin(), out.end(), data.begin()));
+    // The received region is exactly the first attach.
+    std::uint8_t past = 0;
+    EXPECT_NE(kernel->taskRead(*receiver, dst + 2 * page, &past, 1),
               KernReturn::Success);
 }
 

@@ -412,6 +412,57 @@ TEST_P(BatchShootdownTest, OutOfOrderRequestsAcrossPmapsMergeExactly)
                                 r.last - r.first));
 }
 
+TEST_P(BatchShootdownTest, WithinPmapFlushOrderFollowsStart)
+{
+    Task *child = forkSharingChild();
+    ASSERT_NE(child, nullptr);
+    Pmap &p = *task->map().getPmap();
+    Pmap &q = *child->map().getPmap();
+    const VmSize hw = spec.hwPageSize();
+    auto hwPg = [&](unsigned i) { return addr + i * hw; };
+
+    // p's large range (12 hardware pages, a whole-tag flush) arrives
+    // first, then its small ranges below and above it, interleaved
+    // with q's.  A close sweeping p by ascending start flushes [4,6)
+    // page by page, then the whole tag, which makes [40,43) moot; q
+    // flushes its 3 pages.  Arrival order would flush p's tag first
+    // and skip both small ranges.
+    struct Req
+    {
+        Pmap *pmap;
+        unsigned first;
+        unsigned last;
+    };
+    const Req reqs[] = {
+        {&p, 16, 28}, {&q, 0, 2}, {&p, 4, 6}, {&q, 8, 9}, {&p, 40, 43},
+    };
+    constexpr std::uint64_t kPageFlushes = 2 + 3;
+    constexpr std::uint64_t kTagFlushes = 1;
+
+    SimClock &clock = kernel->machine.clock();
+    std::vector<std::uint64_t> flushes0;
+    for (CpuId cpu = 0; cpu < kCpus; ++cpu)
+        flushes0.push_back(kernel->machine.cpu(cpu).tlb.flushes());
+    SimTime flushNs0 = clock.kindTotal(CostKind::TlbFlush);
+    {
+        PmapBatch batch(*kernel->pmaps);
+        for (const Req &r : reqs)
+            kernel->pmaps->shootdownRange(*r.pmap, hwPg(r.first),
+                                          hwPg(r.last),
+                                          ShootdownMode::Immediate);
+    }
+
+    // The targets of p (CPUs 0-1) and q (CPUs 2-3) are unioned, so
+    // every CPU runs the whole merged list.
+    for (CpuId cpu = 0; cpu < kCpus; ++cpu)
+        EXPECT_EQ(kernel->machine.cpu(cpu).tlb.flushes() - flushes0[cpu],
+                  kPageFlushes + kTagFlushes)
+            << "cpu " << cpu;
+    EXPECT_EQ(clock.kindTotal(CostKind::TlbFlush) - flushNs0,
+              kCpus * (kPageFlushes * spec.costs.tlbFlushEntry +
+                       kTagFlushes * spec.costs.tlbFlushAll));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Multiprocessors, BatchShootdownTest,
     ::testing::Values(ArchType::Ns32082, ArchType::TlbOnly),
